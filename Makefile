@@ -24,7 +24,7 @@ test: vet
 
 race:
 	$(GO) test -race ./internal/obs/ ./internal/obs/history/ ./internal/privim/ ./internal/diffusion/ ./internal/expt/ ./internal/serve/ ./internal/graph/ \
-		./internal/parallel/ ./internal/tensor/ ./internal/autodiff/ ./internal/nn/ ./internal/im/ ./internal/ledger/ ./internal/cliutil/
+		./internal/parallel/ ./internal/tensor/ ./internal/autodiff/ ./internal/nn/ ./internal/gnn/ ./internal/im/ ./internal/ledger/ ./internal/cliutil/
 
 cover:
 	$(GO) test -cover ./...
@@ -49,7 +49,7 @@ bench-diff:
 # floors don't hold there); the workers-1-vs-N bit-equality re-runs over
 # the same pooled paths run under -race.
 alloc-smoke:
-	$(GO) test -run 'SteadyState' -v ./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/obs/history/ | grep -v '^=== RUN'
+	$(GO) test -run 'SteadyState' -v ./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/obs/history/ ./internal/autodiff/ | grep -v '^=== RUN'
 	$(GO) test -race -run 'WorkerInvariant|BitExact|StreamStable' \
 		./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/nn/ ./internal/tensor/ ./internal/autodiff/
 

@@ -1,8 +1,8 @@
 // Package autodiff implements reverse-mode automatic differentiation over
 // dense matrices, providing exactly the operator set needed to express
 // message-passing GNNs: dense GEMM, sparse-adjacency multiplication, row
-// gather/scatter, segment softmax (attention over edge lists), elementwise
-// nonlinearities, and reductions.
+// gather/scatter, segment softmax, a fused multi-head graph-attention layer
+// over edge lists, elementwise nonlinearities, and reductions.
 //
 // Differentiation is tape-based: every operation appends a node to a Tape,
 // and Backward walks the tape in reverse creation order (a valid topological
@@ -52,6 +52,7 @@ const (
 	opScatterAddRows
 	opMulColBroadcast
 	opSegmentSoftmax
+	opAttention
 )
 
 // arenaChunk is the node-arena block size: one GNN forward/backward pass
@@ -71,6 +72,9 @@ type Tape struct {
 
 	owned []*tensor.Matrix // matrices handed out since the last Reset
 	free  []*tensor.Matrix // recycled matrices available to take
+
+	attns []*attnState // Attention payloads, reused across Reset
+	nattn int          // payloads handed out since the last Reset
 }
 
 // NewTape returns an empty tape.
@@ -87,6 +91,7 @@ func (t *Tape) Len() int { return len(t.nodes) }
 func (t *Tape) Reset() {
 	t.nodes = t.nodes[:0]
 	t.block, t.used = 0, 0
+	t.nattn = 0
 	t.free = append(t.free, t.owned...)
 	t.owned = t.owned[:0]
 }
@@ -149,10 +154,11 @@ type Node struct {
 	x, y *Node
 
 	// Op-specific payload (see the opcode's constructor).
-	scalar float64    // opScale, opAddScalar, opLeakyReLU
+	scalar float64    // opScale, opAddScalar, opLeakyReLU, opAttention
 	idx    []int32    // opGatherRows, opScatterAddRows, opSegmentSoftmax seg
 	sparse *SparseMat // opSpMM
 	n      int        // opSegmentSoftmax numSegments
+	attn   *attnState // opAttention
 }
 
 func (t *Tape) add(op opcode, val *tensor.Matrix, x, y *Node) *Node {
@@ -338,15 +344,10 @@ func (n *Node) step() {
 			ga.Data[i] += dot
 		}
 	case opSegmentSoftmax:
-		gs := n.x.grad()
-		// For each segment: ds_i = a_i (g_i − Σ_k a_k g_k).
-		dots := n.tape.take(n.n, 1, true)
-		for i, s := range n.idx {
-			dots.Data[s] += n.Value.Data[i] * n.Grad.Data[i]
-		}
-		for i, s := range n.idx {
-			gs.Data[i] += n.Value.Data[i] * (n.Grad.Data[i] - dots.Data[s])
-		}
+		dots := n.tape.take(n.n, 1, false)
+		segmentSoftmaxGrad(n.x.grad().Data, n.Value.Data, n.Grad.Data, n.idx, dots.Data)
+	case opAttention:
+		attentionBackward(n)
 	default:
 		panic(fmt.Sprintf("autodiff: unknown opcode %d", n.op))
 	}

@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,6 +225,27 @@ func TestGradComposite_GATStyle(t *testing.T) {
 			agg := ScatterAddRows(msg, dst, 3) // 3×2
 			return Sum(Mul(agg, agg))
 		})
+}
+
+func TestGradAttention(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	// Arcs src→dst with a parallel pair (1→0 twice), a node (3) reached
+	// only by its self-loop, and a self-loop on every node.
+	dst := []int32{0, 0, 0, 1, 2, 2, 0, 1, 2, 3}
+	src := []int32{1, 1, 2, 0, 0, 1, 0, 1, 2, 3}
+	for _, heads := range []int{1, 3} {
+		for _, seg := range [][]int32{dst, src} {
+			inputs := []*tensor.Matrix{randMat(4, 2, rng)}
+			for h := 0; h < heads; h++ {
+				inputs = append(inputs, randMat(4, 1, rng))
+			}
+			checkGrad(t, fmt.Sprintf("Attention/heads%d/seg%v", heads, seg), inputs,
+				func(tp *Tape, l []*Node) *Node {
+					y := Attention(l[0], l[1:], dst, src, seg, 0.2)
+					return Sum(Mul(y, y))
+				})
+		}
+	}
 }
 
 func TestBackwardPanics(t *testing.T) {

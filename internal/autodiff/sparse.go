@@ -278,33 +278,54 @@ func SegmentSoftmax(scores *Node, seg []int32, numSegments int) *Node {
 	if scores.Value.Cols != 1 || len(seg) != scores.Value.Rows {
 		panic("autodiff: SegmentSoftmax wants E×1 scores with matching seg")
 	}
-	e := len(seg)
 	t := scores.tape
-	val := t.take(e, 1, false)
-	// Stable per-segment softmax: subtract per-segment max. Scratch comes
-	// from the tape pool so repeated passes on a reset tape don't allocate.
-	maxes := t.take(numSegments, 1, false)
-	for i := range maxes.Data {
-		maxes.Data[i] = negInf
-	}
-	for i := 0; i < e; i++ {
-		if v := scores.Value.Data[i]; v > maxes.Data[seg[i]] {
-			maxes.Data[seg[i]] = v
-		}
-	}
-	sums := t.take(numSegments, 1, true)
-	for i := 0; i < e; i++ {
-		ex := exp(scores.Value.Data[i] - maxes.Data[seg[i]])
-		val.Data[i] = ex
-		sums.Data[seg[i]] += ex
-	}
-	for i := 0; i < e; i++ {
-		val.Data[i] /= sums.Data[seg[i]]
-	}
+	val := t.take(len(seg), 1, false)
+	// Scratch comes from the tape pool so repeated passes on a reset tape
+	// don't allocate.
+	maxes, sums := t.take(numSegments, 1, false), t.take(numSegments, 1, false)
+	segmentSoftmax(val.Data, scores.Value.Data, seg, maxes.Data, sums.Data)
 	out := t.add(opSegmentSoftmax, val, scores, nil)
 	out.idx = seg
 	out.n = numSegments
 	return out
+}
+
+// segmentSoftmax sets alpha to the softmax of scores within each group
+// of entries sharing seg[i], stabilized by subtracting each group's max.
+// maxes and sums are per-segment scratch. alpha may alias scores.
+func segmentSoftmax(alpha, scores []float64, seg []int32, maxes, sums []float64) {
+	for s := range maxes {
+		maxes[s] = negInf
+		sums[s] = 0
+	}
+	for i, s := range seg {
+		if v := scores[i]; v > maxes[s] {
+			maxes[s] = v
+		}
+	}
+	for i, s := range seg {
+		ex := exp(scores[i] - maxes[s])
+		alpha[i] = ex
+		sums[s] += ex
+	}
+	for i, s := range seg {
+		alpha[i] /= sums[s]
+	}
+}
+
+// segmentSoftmaxGrad adds to gs the gradient through segmentSoftmax given
+// its output alpha and output gradient g: per segment,
+// gs_i += α_i (g_i − Σ_k α_k g_k). dots is per-segment scratch.
+func segmentSoftmaxGrad(gs, alpha, g []float64, seg []int32, dots []float64) {
+	for s := range dots {
+		dots[s] = 0
+	}
+	for i, s := range seg {
+		dots[s] += alpha[i] * g[i]
+	}
+	for i, s := range seg {
+		gs[i] += alpha[i] * (g[i] - dots[s])
+	}
 }
 
 var negInf = math.Inf(-1)

@@ -2,9 +2,11 @@ package gnn
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Save writes a self-describing model checkpoint: a one-line JSON header
@@ -26,7 +28,10 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a checkpoint written by Save and returns the reconstructed
-// model with its trained weights.
+// model with its trained weights. The header is untrusted: before
+// building the architecture it names, Load reads the weight bytes that
+// architecture implies and refuses the checkpoint if the stream ends
+// first, so a short body cannot make it allocate a large model.
 func Load(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
@@ -37,12 +42,76 @@ func Load(r io.Reader) (*Model, error) {
 	if err := json.Unmarshal(line, &cfg); err != nil {
 		return nil, fmt.Errorf("gnn: decoding checkpoint header: %w", err)
 	}
+	if err := cfg.normalize(); err != nil {
+		return nil, fmt.Errorf("gnn: checkpoint config invalid: %w", err)
+	}
+	weights, ok := cfg.weightCount()
+	if !ok || weights > math.MaxInt64/8 {
+		return nil, fmt.Errorf("gnn: checkpoint config %+v implies too many weights", cfg)
+	}
+	// Every weight takes 8 payload bytes, so the payload is at least this
+	// long. ReadAll grows with the bytes actually supplied.
+	need := int64(weights) * 8
+	head, err := io.ReadAll(io.LimitReader(br, need))
+	if err != nil {
+		return nil, fmt.Errorf("gnn: reading checkpoint weights: %w", err)
+	}
+	if int64(len(head)) < need {
+		return nil, fmt.Errorf("gnn: checkpoint truncated: header implies %d weights (%d bytes), payload has %d bytes",
+			weights, need, len(head))
+	}
 	m, err := New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("gnn: checkpoint config invalid: %w", err)
 	}
-	if err := m.Params.ReadInto(br); err != nil {
+	if err := m.Params.ReadInto(io.MultiReader(bytes.NewReader(head), br)); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// weightCount returns the number of weights New(c) registers for a
+// normalized c, and false if that count overflows an int. It walks the
+// same shapes as New without allocating them.
+func (c *Config) weightCount() (int, bool) {
+	var total int
+	ok := true
+	add := func(rows, cols int) {
+		if !ok || rows > math.MaxInt/cols || total > math.MaxInt-rows*cols {
+			ok = false
+			return
+		}
+		total += rows * cols
+	}
+	layer := func(in int) {
+		out := c.HiddenDim
+		switch c.Kind {
+		case GCN:
+			add(in, out)
+		case GraphSAGE:
+			add(in, out)
+			add(in, out)
+		case GAT, GRAT:
+			add(in, out)
+			add(c.Heads, out)
+			add(c.Heads, out)
+		case GIN:
+			add(in, out)
+			add(out, out)
+			add(1, 1)
+		}
+		add(1, out)
+	}
+	layer(c.InputDim)
+	if c.Layers > 1 {
+		// Layers after the first share one shape, so the other Layers-2
+		// are counted at once rather than looped over.
+		before := total
+		layer(c.HiddenDim)
+		add(c.Layers-2, total-before)
+	}
+	add(c.HiddenDim, 1) // readout over [final hidden | raw features]
+	add(c.InputDim, 1)
+	add(1, 1)
+	return total, ok
 }

@@ -80,10 +80,10 @@ type Model struct {
 }
 
 // layerRefs holds one layer's parameter positions in the ParamSet layout.
-// Unused slots for a given Kind stay zero and are never read.
+// Unused slots for a given Kind stay zero and are never read. A GAT/GRAT
+// layer's Heads attention vectors sit at consecutive positions from attn.
 type layerRefs struct {
-	w, w2, eps, b int
-	attn          []int
+	w, w2, eps, b, attn int
 }
 
 // New constructs a model and registers its parameters (uninitialized; call
@@ -111,9 +111,9 @@ func New(cfg Config) (*Model, error) {
 			refs.w = add(lname(l, "w"), 2*in, out)
 		case GAT, GRAT:
 			refs.w = add(lname(l, "w"), in, out)
-			refs.attn = make([]int, cfg.Heads)
-			for h := 0; h < cfg.Heads; h++ {
-				refs.attn[h] = add(hname(l, h), 2*out, 1)
+			refs.attn = add(hname(l, 0), 2*out, 1)
+			for h := 1; h < cfg.Heads; h++ {
+				add(hname(l, h), 2*out, 1)
 			}
 		case GIN:
 			refs.w = add(lname(l, "w1"), in, out)
@@ -283,44 +283,26 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 			h = autodiff.ReLU(z)
 		}
 	case GAT, GRAT:
-		dst, src := p.dst, p.src
 		// GAT normalizes attention over each destination's in-edges
 		// (Eq. 35); GRAT normalizes over each source's out-edges (Eq. 39),
 		// reducing the reward for overlapping coverage.
-		seg := dst
+		seg := p.dst
 		if m.Cfg.Kind == GRAT {
-			seg = src
+			seg = p.src
 		}
-		n := g.NumNodes()
 		for l := 0; l < m.Cfg.Layers; l++ {
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			wh := autodiff.MatMul(h, bound[m.layers[l].w])
-			hd := autodiff.GatherRows(wh, dst)
-			hs := autodiff.GatherRows(wh, src)
-			cat := autodiff.ConcatCols(hd, hs)
+			refs := m.layers[l]
+			wh := autodiff.MatMul(h, bound[refs.w])
 			// Each head computes its own attention distribution over the
 			// shared projection; head outputs are averaged.
-			var agg *autodiff.Node
-			for head := 0; head < m.Cfg.Heads; head++ {
-				e := autodiff.MatMul(cat, bound[m.layers[l].attn[head]])
-				e = autodiff.LeakyReLU(e, m.Cfg.LeakySlope)
-				alpha := autodiff.SegmentSoftmax(e, seg, n)
-				msg := autodiff.MulColBroadcast(hs, alpha)
-				headAgg := autodiff.ScatterAddRows(msg, dst, n)
-				if agg == nil {
-					agg = headAgg
-				} else {
-					agg = autodiff.Add(agg, headAgg)
-				}
-			}
-			if m.Cfg.Heads > 1 {
-				agg = autodiff.Scale(agg, 1/float64(m.Cfg.Heads))
-			}
-			agg = autodiff.AddRowBroadcast(agg, bound[m.layers[l].b])
+			heads := bound[refs.attn : refs.attn+m.Cfg.Heads]
+			agg := autodiff.Attention(wh, heads, p.dst, p.src, seg, m.Cfg.LeakySlope)
+			agg = autodiff.AddRowBroadcast(agg, bound[refs.b])
 			h = autodiff.ReLU(agg)
 		}
 	case GIN:

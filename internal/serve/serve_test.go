@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -444,6 +445,40 @@ func TestUploadValidation(t *testing.T) {
 	}
 	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/train", []byte(`{"graph":"missing"}`), nil); code != 404 {
 		t.Fatalf("train on missing graph = %d, want 404", code)
+	}
+}
+
+// TestModelUploadUnbackedHeader uploads a 56-byte checkpoint whose header
+// names a 256 MB model and carries no weights: the daemon must answer 400
+// without building the model, and keep serving.
+func TestModelUploadUnbackedHeader(t *testing.T) {
+	s := newTestServer(t, serve.Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	body := []byte(`{"Kind":"gcn","InputDim":4,"HiddenDim":4000,"Layers":3}` + "\n")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/models/huge", body, nil)
+	runtime.ReadMemStats(&after)
+	if code != 400 {
+		t.Fatalf("unbacked checkpoint upload = %d, want 400", code)
+	}
+	// Client and server share this process; the request itself needs far
+	// less than the 256 MB the header names.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("refusing the upload allocated %d bytes", grew)
+	}
+	if code := doJSON(t, c, http.MethodGet, ts.URL+"/v1/models/huge", nil, nil); code != 404 {
+		t.Fatalf("refused model is registered: GET = %d, want 404", code)
+	}
+	if code := doJSON(t, c, http.MethodGet, ts.URL+"/healthz", nil, nil); code != 200 {
+		t.Fatalf("healthz after refused upload = %d", code)
+	}
+	g := testGraph(t)
+	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/models/m", checkpointBytes(t, g), nil); code != http.StatusCreated {
+		t.Fatalf("valid checkpoint upload after refusal = %d, want 201", code)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -34,6 +35,57 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 		}
 	}
 	return out
+}
+
+// TestTransposedKernelsMatchNaiveOrder pins MatMulNTInto and MatMulTNInto
+// bit for bit to naive triple loops summing in the same order, on a warm
+// output, for output widths around the NT kernel's four-column step.
+func TestTransposedKernelsMatchNaiveOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cols := range []int{1, 3, 4, 5, 37} {
+		for _, shared := range []int{1, 6, 33} {
+			const rows = 7
+			// NT: out (rows×cols) += a (rows×shared) · b (cols×shared)ᵀ.
+			a, b := randMat(rows, shared, rng), randMat(cols, shared, rng)
+			want, got := randMat(rows, cols, rng), New(rows, cols)
+			copy(got.Data, want.Data)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					s := 0.0
+					for k := 0; k < shared; k++ {
+						s += a.Data[i*shared+k] * b.Data[j*shared+k]
+					}
+					want.Data[i*cols+j] += s
+				}
+			}
+			MatMulNTInto(got, a, b)
+			for i := range want.Data {
+				if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+					t.Fatalf("NT cols %d shared %d: element %d: %v != naive %v", cols, shared, i, got.Data[i], want.Data[i])
+				}
+			}
+
+			// TN: out (rows×cols) += a (shared×rows)ᵀ · b (shared×cols).
+			a, b = randMat(shared, rows, rng), randMat(shared, cols, rng)
+			want, got = randMat(rows, cols, rng), New(rows, cols)
+			copy(got.Data, want.Data)
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					for k := 0; k < shared; k++ {
+						if av := a.Data[k*rows+i]; av != 0 {
+							want.Data[i*cols+j] += av * b.Data[k*cols+j]
+						}
+					}
+				}
+			}
+			MatMulTNInto(got, a, b)
+			for i := range want.Data {
+				if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+					t.Fatalf("TN cols %d shared %d: element %d: %v != naive %v", cols, shared, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
 }
 
 // TestGEMMBlockedMatchesNaiveOrder pins that the blocked, register-tiled

@@ -212,18 +212,41 @@ func gemmRows(out, a, b *Matrix, lo, hi int) {
 // MatMulNTInto accumulates out += a·bᵀ without materializing the
 // transpose: out is a.Rows×b.Rows and the shared dimension is
 // a.Cols == b.Cols. Each output element is a dot product of two
-// contiguous rows, accumulated k-ascending, so the result is
-// deterministic and cache-friendly. Serial by design — the backward
-// passes that call it already run one-per-sample under the worker pool.
+// contiguous rows, summed k-ascending from zero and then added to out, so
+// the result is deterministic and cache-friendly. Four output columns
+// share each pass over a's row, with one accumulator each. Serial by
+// design — the backward passes that call it already run one-per-sample
+// under the worker pool.
 func MatMulNTInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic("tensor: MatMulNTInto shape mismatch")
 	}
+	// Every row is sliced to the shared length n, which lets the compiler
+	// drop the bounds checks in the inner loop.
+	n := a.Cols
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
+		arow := a.Data[i*n : (i+1)*n]
 		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0 := b.Data[j*n : (j+1)*n]
+			b1 := b.Data[(j+1)*n : (j+2)*n]
+			b2 := b.Data[(j+2)*n : (j+3)*n]
+			b3 := b.Data[(j+3)*n : (j+4)*n]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j] += s0
+			orow[j+1] += s1
+			orow[j+2] += s2
+			orow[j+3] += s3
+		}
+		for ; j < b.Rows; j++ {
+			brow := b.Data[j*n : (j+1)*n]
 			s := 0.0
 			for k, av := range arow {
 				s += av * brow[k]
@@ -236,7 +259,8 @@ func MatMulNTInto(out, a, b *Matrix) {
 // MatMulTNInto accumulates out += aᵀ·b without materializing the
 // transpose: out is a.Cols×b.Cols and the shared dimension is
 // a.Rows == b.Rows. Per output element the accumulation order is k
-// (shared-row) ascending. Serial by design, like MatMulNTInto.
+// (shared-row) ascending. The inner loop is unrolled 4-wide like
+// gemmRows. Serial by design, like MatMulNTInto.
 func MatMulTNInto(out, a, b *Matrix) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: MatMulTNInto shape mismatch")
@@ -248,9 +272,16 @@ func MatMulTNInto(out, a, b *Matrix) {
 			if av == 0 {
 				continue
 			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			orow := out.Row(i)[:len(brow)] // the re-slice drops bounds checks
+			j := 0
+			for ; j+4 <= len(brow); j += 4 {
+				orow[j] += av * brow[j]
+				orow[j+1] += av * brow[j+1]
+				orow[j+2] += av * brow[j+2]
+				orow[j+3] += av * brow[j+3]
+			}
+			for ; j < len(brow); j++ {
+				orow[j] += av * brow[j]
 			}
 		}
 	}
