@@ -47,9 +47,12 @@ bench-diff:
 # Steady-state allocation pins plus pooled-path determinism: the alloc
 # floors run without -race (the race runtime drops sync.Pool Puts, so
 # floors don't hold there); the workers-1-vs-N bit-equality re-runs over
-# the same pooled paths run under -race.
+# the same pooled paths run under -race. The floor run's output is
+# filtered, but the recipe exits with go test's status, so a failing
+# floor fails the target.
 alloc-smoke:
-	$(GO) test -run 'SteadyState' -v ./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/obs/history/ ./internal/autodiff/ | grep -v '^=== RUN'
+	@out=$$($(GO) test -run 'SteadyState' -v ./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/obs/history/ ./internal/autodiff/ 2>&1); \
+	status=$$?; printf '%s\n' "$$out" | grep -v '^=== RUN'; exit $$status
 	$(GO) test -race -run 'WorkerInvariant|BitExact|StreamStable' \
 		./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/nn/ ./internal/tensor/ ./internal/autodiff/
 
@@ -78,8 +81,11 @@ examples:
 	$(GO) run ./examples/maxcover
 	$(GO) run ./examples/ldpseeding
 
+# Fuzz the untrusted-input decoders for 60 s each: edge-list uploads and
+# model checkpoint uploads.
 fuzz:
-	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=60s -run FuzzReadEdgeList ./internal/graph/
+	$(GO) test -fuzz='^FuzzReadEdgeList$$' -fuzztime=60s -run '^FuzzReadEdgeList$$' ./internal/graph/
+	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=60s -run '^FuzzLoad$$' ./internal/gnn/
 
 # Durability suite under the race detector: atomic checkpoint files,
 # kill-mid-train resume equivalence, corrupt-checkpoint fallback, and
@@ -95,12 +101,12 @@ budget-smoke:
 	$(GO) test -race -run 'Budget|Ledger|Refund|Forfeit|Epsilon|Compos' \
 		./internal/ledger/ ./internal/dp/ ./internal/serve/
 
-# Cancellation suite under the race detector: ForCtx chunk-boundary
+# Cancellation suite under the race detector: parallel.For chunk-boundary
 # preemption, cancel-and-resume bit-identity in training, typed
 # CanceledError plumbing in diffusion/IM, and the serve layer's
 # DELETE-running-job / drain-grace / partial-epsilon settlement e2e.
 cancel-smoke:
-	$(GO) test -race -run 'Cancel|ForCtx|Preempt|DrainGrace|SelectContext|EstimateContext' \
+	$(GO) test -race -run 'Cancel|Preempt|DrainGrace|SelectContext|EstimateContext' \
 		./internal/parallel/ ./internal/obs/ ./internal/diffusion/ \
 		./internal/im/ ./internal/privim/ ./internal/serve/
 

@@ -7,6 +7,7 @@
 package privim_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func BenchmarkParallelDiffusion(b *testing.B) {
 	for _, w := range benchWorkerWidths {
 		withWorkers(b, w, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				diffusion.Estimate(model, seeds, 200, 7)
+				diffusion.Estimate(context.Background(), model, seeds, 200, 7, diffusion.Options{})
 			}
 		})
 	}
@@ -88,7 +89,7 @@ func BenchmarkParallelDPSGD(b *testing.B) {
 	for _, w := range benchWorkerWidths {
 		withWorkers(b, w, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := core.Train(g, core.Config{
+				_, err := core.Train(context.Background(), g, core.Config{
 					Mode: core.ModeDual, Epsilon: 3, Iterations: 5,
 					SubgraphSize: 12, HiddenDim: 16, Layers: 2, Seed: 9,
 				})

@@ -259,17 +259,6 @@ func BenchmarkIMMSelect(b *testing.B) {
 	}
 }
 
-func BenchmarkFastICSimulate(b *testing.B) {
-	g := benchGraph(5000)
-	fast := &diffusion.FastIC{CSR: graph.BuildCSR(g)}
-	rng := rand.New(rand.NewSource(2))
-	seeds := []graph.NodeID{0, 10, 100, 1000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fast.Simulate(seeds, rng)
-	}
-}
-
 func BenchmarkSolverComparison(b *testing.B) {
 	s := benchSettings(dataset.Bitcoin)
 	for i := 0; i < b.N; i++ {
@@ -313,7 +302,7 @@ func BenchmarkDPSGDIteration(b *testing.B) {
 	g := ds.TrainSubgraph().G
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Train(g, core.Config{
+		res, err := core.Train(context.Background(), g, core.Config{
 			Mode: core.ModeDual, Epsilon: 3, Iterations: 10,
 			SubgraphSize: 12, HiddenDim: 16, Layers: 2, Seed: int64(i),
 		})
@@ -357,7 +346,7 @@ func BenchmarkTrainNoObserver(b *testing.B) {
 	g := ds.TrainSubgraph().G
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Train(g, core.Config{
+		res, err := core.Train(context.Background(), g, core.Config{
 			Mode: core.ModeDual, Epsilon: 3, Iterations: 5,
 			SubgraphSize: 12, HiddenDim: 16, Layers: 2, Seed: int64(i),
 		})

@@ -175,9 +175,10 @@ func main() {
 		}
 		fmt.Printf("loaded checkpoint %s (%s, %d params)\n", *loadPath, model.Cfg.Kind, model.Params.NumParams())
 		x := tensor.FromSlice(g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(g))
-		seeds = im.TopKScores(model.Score(g, x), *k)
+		scores, _ := model.Score(context.Background(), g, x) // Background never cancels
+		seeds = im.TopKScores(scores, *k)
 	} else {
-		res, err := privim.TrainContext(runCtx, g, cfg)
+		res, err := privim.Train(runCtx, g, cfg)
 		if err != nil {
 			var cerr *privim.CanceledError
 			if errors.As(err, &cerr) {
@@ -228,7 +229,7 @@ func main() {
 		seeds = res.SelectSeeds(g, *k)
 	}
 	model := &diffusion.IC{G: g, MaxSteps: *steps}
-	spread, err := diffusion.EstimateContext(runCtx, model, seeds, 10, *seed, observer)
+	spread, err := diffusion.Estimate(runCtx, model, seeds, 10, *seed, diffusion.Options{Obs: observer})
 	if err != nil {
 		canceled(stack.Close, err)
 	}
@@ -241,7 +242,7 @@ func main() {
 		if err != nil {
 			canceled(stack.Close, err)
 		}
-		ref := diffusion.Estimate(model, celfSeeds, 10, *seed)
+		ref, _ := diffusion.Estimate(context.Background(), model, celfSeeds, 10, *seed, diffusion.Options{}) // Background never cancels
 		fmt.Printf("CELF reference spread: %.2f  coverage ratio: %.2f%%\n", ref, im.CoverageRatio(spread, ref))
 	}
 }

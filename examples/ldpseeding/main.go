@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"log"
 
+	"privim"
 	"privim/internal/dataset"
 	"privim/internal/diffusion"
 	"privim/internal/im"
 	"privim/internal/ldp"
-	"privim/internal/privim"
 )
 
 func main() {
@@ -33,8 +33,8 @@ func main() {
 
 	model := &diffusion.IC{G: test, MaxSteps: 1}
 	celf := &im.CELF{Model: model, Rounds: 1, Seed: 17, NumNodes: test.NumNodes()}
-	ref := diffusion.Estimate(model, celf.Select(k), 1, 17)
-	degSpread := diffusion.Estimate(model, (&im.Degree{G: test}).Select(k), 1, 17)
+	ref := privim.EstimateSpread(model, celf.Select(k), 1, 17)
+	degSpread := privim.EstimateSpread(model, (&im.Degree{G: test}).Select(k), 1, 17)
 	fmt.Printf("network: |V|=%d  CELF reaches %.0f, plain degree heuristic %.0f\n\n",
 		test.NumNodes(), ref, degSpread)
 
@@ -46,10 +46,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		centralSpread := diffusion.Estimate(model, res.SelectSeeds(test, k), 1, 17)
+		centralSpread := privim.EstimateSpread(model, res.SelectSeeds(test, k), 1, 17)
 
 		seeder := &ldp.DegreeSeeder{G: test, Epsilon: eps, Seed: 17}
-		localSpread := diffusion.Estimate(model, seeder.Select(k), 1, 17)
+		localSpread := privim.EstimateSpread(model, seeder.Select(k), 1, 17)
 
 		fmt.Printf("%8.1f %15.1f%% %15.1f%% %19.1f deg\n",
 			eps,

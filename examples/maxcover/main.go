@@ -10,12 +10,12 @@ import (
 	"log"
 	"math/rand"
 
+	"privim"
 	"privim/internal/autodiff"
 	"privim/internal/dataset"
 	"privim/internal/gnn"
 	"privim/internal/im"
 	"privim/internal/nn"
-	"privim/internal/privim"
 	"privim/internal/tensor"
 )
 
@@ -42,25 +42,26 @@ func main() {
 	model.Init(rng)
 	x := tensor.FromSlice(g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(g))
 
+	prep := model.NewPrep(g)
 	opt := nn.NewAdam(model.Params, 0.02)
 	grads := nn.NewGrads(model.Params)
 	for epoch := 0; epoch < 250; epoch++ {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, model.Params)
-		scores := model.Forward(tp, bound, g, x)
+		scores := model.Forward(tp, bound, g, x, prep)
 		loss := gnn.MaxCoverLoss(tp, g, scores, k, 1)
 		tp.Backward(loss)
 		nn.Collect(bound, grads)
 		opt.Step(grads)
 		if (epoch+1)%50 == 0 {
-			chosen := im.TopKScores(model.Score(g, x), k)
+			chosen := im.TopKScores(privim.ScoreModel(model, g), k)
 			fmt.Printf("epoch %3d: learned coverage %d / greedy %d (%.1f%%)\n",
 				epoch+1, gnn.CoverageValue(g, chosen), greedyCov,
 				100*float64(gnn.CoverageValue(g, chosen))/float64(greedyCov))
 		}
 	}
 
-	chosen := im.TopKScores(model.Score(g, x), k)
+	chosen := im.TopKScores(privim.ScoreModel(model, g), k)
 	fmt.Printf("\nlearned set %v\n", chosen)
 	fmt.Printf("final: learned %d vs greedy %d\n", gnn.CoverageValue(g, chosen), greedyCov)
 
@@ -84,7 +85,7 @@ func main() {
 
 	// Demonstrate the cut variant too.
 	side := make([]bool, g.NumNodes())
-	for v, s := range model.Score(g, x) {
+	for v, s := range privim.ScoreModel(model, g) {
 		side[v] = s > 0.5
 	}
 	fmt.Printf("(bonus) cut induced by the cover scores: %d of %d edges\n",

@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"log"
 
+	"privim"
 	"privim/internal/dataset"
 	"privim/internal/diffusion"
 	"privim/internal/gnn"
 	"privim/internal/im"
-	"privim/internal/privim"
 )
 
 func main() {
@@ -33,7 +33,7 @@ func main() {
 	)
 	model := &diffusion.IC{G: test, MaxSteps: 1}
 	celf := &im.CELF{Model: model, Rounds: 1, Seed: 3, NumNodes: test.NumNodes()}
-	ref := diffusion.Estimate(model, celf.Select(k), 1, 3)
+	ref := privim.EstimateSpread(model, celf.Select(k), 1, 3)
 	fmt.Printf("dataset: %s (trust network), ε=%.0f, CELF reference spread %.0f\n\n", ds.Name, eps, ref)
 
 	fmt.Printf("%-12s %10s %12s %10s\n", "architecture", "spread", "coverage", "params")
@@ -49,7 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 		seeds := res.SelectSeeds(test, k)
-		spread := diffusion.Estimate(model, seeds, 1, 3)
+		spread := privim.EstimateSpread(model, seeds, 1, 3)
 		fmt.Printf("%-12s %10.0f %11.1f%% %10d\n",
 			kind, spread, im.CoverageRatio(spread, ref), res.Model.Params.NumParams())
 	}

@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"log"
 
+	"privim"
 	"privim/internal/dataset"
 	"privim/internal/diffusion"
 	"privim/internal/im"
-	"privim/internal/privim"
 )
 
 func main() {
@@ -51,11 +51,11 @@ func main() {
 	// 4. Evaluate influence spread under the 1-step IC model and compare
 	//    with the non-private CELF greedy reference.
 	model := &diffusion.IC{G: test, MaxSteps: 1}
-	spread := diffusion.Estimate(model, seeds, 1, 42)
+	spread := privim.EstimateSpread(model, seeds, 1, 42)
 
 	celf := &im.CELF{Model: model, Rounds: 1, Seed: 42, NumNodes: test.NumNodes()}
 	celfSeeds := celf.Select(k)
-	celfSpread := diffusion.Estimate(model, celfSeeds, 1, 42)
+	celfSpread := privim.EstimateSpread(model, celfSeeds, 1, 42)
 
 	fmt.Printf("PrivIM* spread: %.0f nodes\n", spread)
 	fmt.Printf("CELF    spread: %.0f nodes (non-private ground truth)\n", celfSpread)

@@ -11,10 +11,10 @@ import (
 	"log"
 	"math/rand"
 
+	"privim"
 	"privim/internal/dataset"
 	"privim/internal/diffusion"
 	"privim/internal/graph"
-	"privim/internal/privim"
 )
 
 func main() {
@@ -63,8 +63,8 @@ func main() {
 		{"IC (3 steps)", &diffusion.IC{G: g, MaxSteps: 3}, &diffusion.IC{G: immunized, MaxSteps: 3}},
 	}
 	for _, m := range models {
-		before := diffusion.Estimate(m.plain, rumorSeeds, rounds, 11)
-		after := diffusion.Estimate(m.capped, rumorSeeds, rounds, 11)
+		before := privim.EstimateSpread(m.plain, rumorSeeds, rounds, 11)
+		after := privim.EstimateSpread(m.capped, rumorSeeds, rounds, 11)
 		fmt.Printf("%-22s %12.1f %12.1f %9.1f%%\n", m.name, before, after, 100*(before-after)/before)
 	}
 	fmt.Println("\nImmunizing privately-identified influencers cuts rumor reach across")

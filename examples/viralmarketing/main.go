@@ -10,11 +10,11 @@ import (
 	"fmt"
 	"log"
 
+	"privim"
 	"privim/internal/dataset"
 	"privim/internal/diffusion"
 	"privim/internal/graph"
 	"privim/internal/im"
-	"privim/internal/privim"
 )
 
 func main() {
@@ -36,7 +36,7 @@ func main() {
 	const mcRounds = 200
 
 	celf := &im.CELF{Model: model, Rounds: 50, Seed: 7, NumNodes: test.NumNodes()}
-	celfSpread := diffusion.Estimate(model, celf.Select(k), mcRounds, 7)
+	celfSpread := privim.EstimateSpread(model, celf.Select(k), mcRounds, 7)
 	fmt.Printf("campaign graph: |V|=%d  CELF (no privacy) reaches %.1f users\n\n", test.NumNodes(), celfSpread)
 
 	fmt.Printf("%8s %12s %12s %14s\n", "epsilon", "PrivIM*", "PrivIM", "PrivIM* cov.")
@@ -63,5 +63,5 @@ func campaign(train, test *graph.Graph, mode privim.Mode, eps float64, k int, mo
 		log.Fatal(err)
 	}
 	seeds := res.SelectSeeds(test, k)
-	return diffusion.Estimate(model, seeds, rounds, 7)
+	return privim.EstimateSpread(model, seeds, rounds, 7)
 }

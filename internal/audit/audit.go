@@ -13,6 +13,7 @@
 package audit
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -89,11 +90,11 @@ func Run(g *graph.Graph, cfg Config) (*Report, error) {
 		if tc.InitSeed == 0 {
 			tc.InitSeed = cfg.Seed*31 + 17
 		}
-		res, err := core.Train(train, tc)
+		res, err := core.Train(context.Background(), train, tc)
 		if err != nil {
 			return 0, 0, err
 		}
-		scores := res.Model.Score(without, probeX)
+		scores, _ := res.Model.Score(context.Background(), without, probeX) // Background never cancels
 		mean := 0.0
 		for _, s := range scores {
 			mean += s

@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -175,7 +176,7 @@ func spmmForward(a *SparseMat, x, val *tensor.Matrix) {
 		return
 	}
 	byDst, _ := a.groups()
-	parallel.For(0, a.NumRows, spmmRowGrain, func(_, lo, hi int) {
+	parallel.For(context.Background(), 0, a.NumRows, spmmRowGrain, func(_, lo, hi int) {
 		for d := lo; d < hi; d++ {
 			drow := val.Row(d)
 			for _, k := range byDst.perm[byDst.start[d]:byDst.start[d+1]] {
@@ -205,7 +206,7 @@ func spmmBackward(a *SparseMat, grad, gx *tensor.Matrix) {
 		return
 	}
 	_, bySrc := a.groups()
-	parallel.For(0, a.NumCols, spmmRowGrain, func(_, lo, hi int) {
+	parallel.For(context.Background(), 0, a.NumCols, spmmRowGrain, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			srow := gx.Row(s)
 			for _, k := range bySrc.perm[bySrc.start[s]:bySrc.start[s+1]] {

@@ -138,8 +138,8 @@ type Stack struct {
 }
 
 // Context returns ctx carrying the stack's trace ID, for threading into
-// the context-aware pipeline entry points (privim.TrainContext,
-// im SelectContext, diffusion.EstimateContext).
+// the context-aware pipeline entry points (privim.Train, im
+// SelectContext, diffusion.Estimate).
 func (s *Stack) Context(ctx context.Context) context.Context {
 	return obs.ContextWithTrace(ctx, s.TraceID)
 }

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"testing"
 
 	"privim/internal/graph"
@@ -38,10 +39,10 @@ func TestEstimateSteadyStateZeroAlloc(t *testing.T) {
 		{"sis", &SIS{G: g, Recovery: 0.3, Steps: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func() { EstimateWorkers(tc.model, seeds, 50, 7, 1) }
+			run := func() { Estimate(context.Background(), tc.model, seeds, 50, 7, Options{Workers: 1}) }
 			run() // warm the pools
 			if got := testing.AllocsPerRun(10, run); got != 0 {
-				t.Fatalf("EstimateWorkers(%s) allocates %v objects/op after warm-up, want 0", tc.name, got)
+				t.Fatalf("Estimate(%s) allocates %v objects/op after warm-up, want 0", tc.name, got)
 			}
 		})
 	}
@@ -62,12 +63,12 @@ func TestEstimateWorkerInvariant(t *testing.T) {
 		{"sis", &SIS{G: g, Recovery: 0.3, Steps: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := EstimateWorkers(tc.model, seeds, 200, 5, 1)
+			want, _ := Estimate(context.Background(), tc.model, seeds, 200, 5, Options{Workers: 1})
 			for _, w := range []int{2, 4, 8} {
 				// Run twice per width so pooled state from the previous
 				// run is also exercised.
 				for rep := 0; rep < 2; rep++ {
-					if got := EstimateWorkers(tc.model, seeds, 200, 5, w); got != want {
+					if got, _ := Estimate(context.Background(), tc.model, seeds, 200, 5, Options{Workers: w}); got != want {
 						t.Fatalf("%s workers=%d rep=%d: estimate %v != serial %v", tc.name, w, rep, got, want)
 					}
 				}

@@ -9,19 +9,27 @@ import (
 	"privim/internal/graph"
 )
 
-// A completed EstimateContext call is bit-identical to Estimate: the
-// context plumbing must not perturb the RNG streams or the reduction.
+// A completed Estimate under a cancelable context is bit-identical to one
+// under context.Background: the cancellation plumbing must not perturb
+// the RNG streams or the reduction, serial or fanned out.
 func TestEstimateContextMatchesEstimate(t *testing.T) {
 	g := lineGraph(40, 0.4)
 	ic := &IC{G: g}
 	seeds := []graph.NodeID{0, 1, 2}
-	want := Estimate(ic, seeds, 50, 7)
-	got, err := EstimateContext(context.Background(), ic, seeds, 50, 7, nil)
-	if err != nil {
-		t.Fatalf("EstimateContext: %v", err)
-	}
-	if math.Float64bits(want) != math.Float64bits(got) {
-		t.Fatalf("EstimateContext = %v, Estimate = %v — must be bit-identical", got, want)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, workers := range []int{1, 4} {
+		want, err := Estimate(context.Background(), ic, seeds, 50, 7, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: Background: %v", workers, err)
+		}
+		got, err := Estimate(ctx, ic, seeds, 50, 7, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: cancelable: %v", workers, err)
+		}
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("workers=%d: cancelable = %v, Background = %v — must be bit-identical", workers, got, want)
+		}
 	}
 }
 
@@ -30,7 +38,7 @@ func TestEstimateContextCanceled(t *testing.T) {
 	ic := &IC{G: g}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EstimateContext(ctx, ic, []graph.NodeID{0, 1, 2}, 50, 7, nil)
+	_, err := Estimate(ctx, ic, []graph.NodeID{0, 1, 2}, 50, 7, Options{})
 	var cerr *CanceledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CanceledError", err)

@@ -306,56 +306,103 @@ func (m *SIS) Simulate(seeds []graph.NodeID, rng *rand.Rand) int {
 	return count
 }
 
+// Options tune one Estimate call.
+type Options struct {
+	// Workers is the worker-pool width: 0 means the process default
+	// (parallel.Resolve), 1 forces inline serial execution. Outer-parallel
+	// callers (the CELF initial-gain pass) pass 1 so the per-candidate
+	// estimates do not nest a second fan-out.
+	Workers int
+	// Obs, when non-nil, receives one MCBatchDone event carrying the
+	// batch's throughput and its cascade-size histogram. A nil observer
+	// adds one predictable branch per round and no allocations.
+	Obs obs.Observer
+}
+
 // Estimate runs rounds Monte Carlo simulations of model from seeds and
 // returns the mean spread. Simulations fan out on the shared worker pool;
 // the result is deterministic for any worker count because each round
 // derives its own rng from the round index and the per-round spreads are
 // integers (an order-independent sum).
-func Estimate(model Model, seeds []graph.NodeID, rounds int, seed int64) float64 {
-	mean, _ := estimate(nil, model, seeds, rounds, seed, 0, nil)
-	return mean
-}
-
-// EstimateWorkers is Estimate with an explicit worker-pool width: 0 means
-// the process default (parallel.Resolve), 1 forces inline serial execution.
-// Outer-parallel callers (the CELF/Greedy initial-gain pass) pass 1 so the
-// per-candidate estimates do not nest a second fan-out.
-func EstimateWorkers(model Model, seeds []graph.NodeID, rounds int, seed int64, workers int) float64 {
-	mean, _ := estimate(nil, model, seeds, rounds, seed, workers, nil)
-	return mean
-}
-
-// EstimateObserved is Estimate with live telemetry: when o is non-nil it
-// emits one MCBatchDone event carrying the batch's throughput and its
-// cascade-size histogram. A nil observer adds one predictable branch per
-// round and no allocations — Estimate simply calls through.
-func EstimateObserved(model Model, seeds []graph.NodeID, rounds int, seed int64, o obs.Observer) float64 {
-	mean, _ := estimate(nil, model, seeds, rounds, seed, 0, o)
-	return mean
-}
-
-// EstimateContext is EstimateObserved under a caller context: the batch
-// runs inside a "diffusion.estimate" span rooted under the context's
-// span (or fresh on o), inheriting the context's trace ID. A nil o with
-// a span-carrying context still journals — the span's observer receives
-// the MCBatchDone event.
+//
+// When ctx carries a span or opts.Obs is set, the batch runs inside a
+// "diffusion.estimate" span rooted under the context's span (or fresh on
+// opts.Obs), inheriting the context's trace ID; a nil opts.Obs with a
+// span-carrying context still journals — the span's observer receives
+// the MCBatchDone event. Otherwise the call opens no span and allocates
+// nothing in steady state.
 //
 // Cancellation is checked at round-chunk boundaries: when ctx fires
-// mid-batch, EstimateContext stops within a few rounds and returns a
+// mid-batch, Estimate stops within a few rounds and returns a
 // *CanceledError recording the partial round count (plus an
 // obs.Canceled event with the observed cancellation latency). A batch
-// that completes returns the same mean as EstimateObserved, bit for
-// bit, at any worker count.
-func EstimateContext(ctx context.Context, model Model, seeds []graph.NodeID, rounds int, seed int64, o obs.Observer) (float64, error) {
-	span := obs.StartSpanCtx(ctx, o, "diffusion.estimate")
+// that completes returns the same mean, bit for bit, under any context
+// and at any worker count. ctx must be non-nil.
+func Estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int, seed int64, opts Options) (float64, error) {
+	span := obs.StartSpanCtx(ctx, opts.Obs, "diffusion.estimate")
 	defer span.End()
+	o := opts.Obs
 	if o == nil {
 		o = span.Observer()
 	}
-	return estimate(ctx, model, seeds, rounds, seed, 0, o)
+	if rounds < 1 {
+		panic(fmt.Sprintf("diffusion: Estimate rounds = %d", rounds))
+	}
+	start := time.Now()
+	workers := parallel.Resolve(opts.Workers)
+	if workers > rounds {
+		workers = rounds
+	}
+	st := estPool.Get().(*estState)
+	st.model, st.seeds, st.seed = model, seeds, seed
+	st.reset(workers, o != nil)
+	clk := obs.WatchCancel(ctx)
+	_, err := parallel.For(ctx, workers, rounds, 8, st.body)
+	clk.Stop()
+	if err != nil {
+		var done int64
+		for _, d := range st.done {
+			done += d
+		}
+		obs.Emit(o, obs.Canceled{
+			Phase:   "estimate",
+			Done:    int(done),
+			Total:   rounds,
+			Reason:  err.Error(),
+			Latency: clk.Latency(),
+		})
+		st.model, st.seeds = nil, nil
+		estPool.Put(st)
+		return 0, &CanceledError{Done: int(done), Total: rounds, Err: err}
+	}
+	var sum int64
+	for _, v := range st.totals {
+		sum += v
+	}
+	mean := float64(sum) / float64(rounds)
+	if o != nil {
+		ev := obs.MCBatchDone{
+			Model:      model.Name(),
+			Rounds:     rounds,
+			MeanSpread: mean,
+			Elapsed:    time.Since(start),
+		}
+		if secs := ev.Elapsed.Seconds(); secs > 0 {
+			ev.SimsPerSec = float64(rounds) / secs
+		}
+		for _, s := range st.sizes {
+			for i, c := range s {
+				ev.SizeBuckets[i] += c
+			}
+		}
+		o.Emit(ev)
+	}
+	st.model, st.seeds = nil, nil // don't pin caller data in the pool
+	estPool.Put(st)
+	return mean, nil
 }
 
-// estState is the reusable machinery behind estimate: per-worker totals,
+// estState is the reusable machinery behind Estimate: per-worker totals,
 // per-worker RNGs that are reseeded each round (rand.Rand.Seed(n) yields
 // the same stream as a fresh rand.New(rand.NewSource(n)), so seeded means
 // are unchanged), observer histograms, and the worker closure built once
@@ -420,76 +467,4 @@ func (st *estState) reset(workers int, obsOn bool) {
 	for i := range st.sizes {
 		st.sizes[i] = [obs.NumBuckets]uint64{}
 	}
-}
-
-func estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int, seed int64, workers int, o obs.Observer) (float64, error) {
-	if rounds < 1 {
-		panic(fmt.Sprintf("diffusion: Estimate rounds = %d", rounds))
-	}
-	start := time.Now()
-	workers = parallel.Resolve(workers)
-	if workers > rounds {
-		workers = rounds
-	}
-	st := estPool.Get().(*estState)
-	st.model, st.seeds, st.seed = model, seeds, seed
-	st.reset(workers, o != nil)
-	if ctx != nil {
-		clk := obs.WatchCancel(ctx)
-		_, err := parallel.ForCtx(ctx, workers, rounds, 8, st.body)
-		clk.Stop()
-		if err != nil {
-			var done int64
-			for _, d := range st.done {
-				done += d
-			}
-			obs.Emit(o, obs.Canceled{
-				Phase:   "estimate",
-				Done:    int(done),
-				Total:   rounds,
-				Reason:  err.Error(),
-				Latency: clk.Latency(),
-			})
-			st.model, st.seeds = nil, nil
-			estPool.Put(st)
-			return 0, &CanceledError{Done: int(done), Total: rounds, Err: err}
-		}
-	} else {
-		parallel.For(workers, rounds, 8, st.body)
-	}
-	var sum int64
-	for _, v := range st.totals {
-		sum += v
-	}
-	mean := float64(sum) / float64(rounds)
-	if o != nil {
-		ev := obs.MCBatchDone{
-			Model:      model.Name(),
-			Rounds:     rounds,
-			MeanSpread: mean,
-			Elapsed:    time.Since(start),
-		}
-		if secs := ev.Elapsed.Seconds(); secs > 0 {
-			ev.SimsPerSec = float64(rounds) / secs
-		}
-		for _, s := range st.sizes {
-			for i, c := range s {
-				ev.SizeBuckets[i] += c
-			}
-		}
-		o.Emit(ev)
-	}
-	st.model, st.seeds = nil, nil // don't pin caller data in the pool
-	estPool.Put(st)
-	return mean, nil
-}
-
-// EstimateMany evaluates the spread of several seed sets, reusing the
-// parallel estimator. Returns one mean per seed set.
-func EstimateMany(model Model, seedSets [][]graph.NodeID, rounds int, seed int64) []float64 {
-	out := make([]float64, len(seedSets))
-	for i, s := range seedSets {
-		out[i] = Estimate(model, s, rounds, seed+int64(i))
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,13 @@ import (
 
 	"privim/internal/graph"
 )
+
+// estimate is Estimate under context.Background with default options,
+// which never returns an error.
+func estimate(m Model, seeds []graph.NodeID, rounds int, seed int64) float64 {
+	mean, _ := Estimate(context.Background(), m, seeds, rounds, seed, Options{})
+	return mean
+}
 
 func lineGraph(n int, w float64) *graph.Graph {
 	g := graph.NewWithNodes(n, true)
@@ -59,7 +67,7 @@ func TestICProbabilityMatchesExpectation(t *testing.T) {
 	// Single edge with w=0.3: E[spread from {0}] = 1.3.
 	g := graph.NewWithNodes(2, true)
 	g.AddEdge(0, 1, 0.3)
-	got := Estimate(&IC{G: g}, []graph.NodeID{0}, 20000, 7)
+	got := estimate(&IC{G: g}, []graph.NodeID{0}, 20000, 7)
 	if math.Abs(got-1.3) > 0.02 {
 		t.Fatalf("estimated spread %v, want ≈1.3", got)
 	}
@@ -130,22 +138,14 @@ func TestSISStepsBound(t *testing.T) {
 
 func TestEstimateDeterministic(t *testing.T) {
 	g := lineGraph(20, 0.5)
-	a := Estimate(&IC{G: g}, []graph.NodeID{0}, 500, 42)
-	b := Estimate(&IC{G: g}, []graph.NodeID{0}, 500, 42)
+	a := estimate(&IC{G: g}, []graph.NodeID{0}, 500, 42)
+	b := estimate(&IC{G: g}, []graph.NodeID{0}, 500, 42)
 	if a != b {
 		t.Fatalf("Estimate not deterministic: %v vs %v", a, b)
 	}
-	c := Estimate(&IC{G: g}, []graph.NodeID{0}, 500, 43)
+	c := estimate(&IC{G: g}, []graph.NodeID{0}, 500, 43)
 	if a == c {
 		t.Fatal("different seeds should (almost surely) differ")
-	}
-}
-
-func TestEstimateMany(t *testing.T) {
-	g := lineGraph(5, 1)
-	got := EstimateMany(&IC{G: g}, [][]graph.NodeID{{0}, {4}}, 10, 1)
-	if got[0] != 5 || got[1] != 1 {
-		t.Fatalf("EstimateMany = %v, want [5 1]", got)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestEstimatePanics(t *testing.T) {
 			t.Fatal("expected panic for rounds < 1")
 		}
 	}()
-	Estimate(&IC{G: lineGraph(2, 1)}, []graph.NodeID{0}, 0, 1)
+	estimate(&IC{G: lineGraph(2, 1)}, []graph.NodeID{0}, 0, 1)
 }
 
 // Property: spread is always within [len(unique seeds), |V|] and monotone
@@ -191,8 +191,8 @@ func TestICMonotoneInSeeds(t *testing.T) {
 			g.AddEdge(u, v, 0.2)
 		}
 	}
-	small := Estimate(&IC{G: g}, []graph.NodeID{1}, 3000, 5)
-	big := Estimate(&IC{G: g}, []graph.NodeID{1, 2, 3}, 3000, 5)
+	small := estimate(&IC{G: g}, []graph.NodeID{1}, 3000, 5)
+	big := estimate(&IC{G: g}, []graph.NodeID{1, 2, 3}, 3000, 5)
 	if big < small {
 		t.Fatalf("superset spread %v < subset spread %v", big, small)
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"privim/internal/dataset"
@@ -69,7 +70,8 @@ func (e *evalContext) model() diffusion.Model {
 
 // spread estimates the influence spread of a seed set on the test graph.
 func (e *evalContext) spread(seeds []graph.NodeID, seed int64) float64 {
-	return diffusion.EstimateObserved(e.model(), seeds, e.settings.MCRounds, seed, e.settings.Observer)
+	spread, _ := diffusion.Estimate(context.Background(), e.model(), seeds, e.settings.MCRounds, seed, diffusion.Options{Obs: e.settings.Observer}) // Background never cancels
+	return spread
 }
 
 // trainConfig builds a privim.Config for the given method and budget.
@@ -99,7 +101,7 @@ type methodOutcome struct {
 
 // runMethod trains a method and evaluates its seed set.
 func (e *evalContext) runMethod(cfg privim.Config, seed int64) (methodOutcome, error) {
-	res, err := privim.Train(e.trainG, cfg)
+	res, err := privim.Train(context.Background(), e.trainG, cfg)
 	if err != nil {
 		return methodOutcome{}, fmt.Errorf("expt: %s on %s: %w", cfg.Mode, e.preset, err)
 	}

@@ -127,7 +127,7 @@ func TestAttentionMatchesChainBitForBit(t *testing.T) {
 					x := tinyFeatures(g, c.in, rng)
 
 					fusedOut, fusedLoss, fusedGrads := lossAndGrads(m, g, x, func(tp *autodiff.Tape, b []*autodiff.Node) *autodiff.Node {
-						return m.Forward(tp, b, g, x)
+						return m.Forward(tp, b, g, x, m.NewPrep(g))
 					})
 					chainOut, chainLoss, chainGrads := lossAndGrads(m, g, x, func(tp *autodiff.Tape, b []*autodiff.Node) *autodiff.Node {
 						return chainForward(m, tp, b, g, x)
@@ -163,14 +163,14 @@ func TestConcurrentScoreMatchesSerial(t *testing.T) {
 	}
 	m.Init(rng)
 	x := tinyFeatures(g, 3, rng)
-	want := m.Score(g, x)
+	want := score(m, g, x)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
-				if i := firstBitDiff(m.Score(g, x), want); i >= 0 {
+				if i := firstBitDiff(score(m, g, x), want); i >= 0 {
 					t.Errorf("concurrent score[%d] differs from the serial one", i)
 					return
 				}

@@ -31,7 +31,8 @@ func (m *Model) Save(w io.Writer) error {
 // model with its trained weights. The header is untrusted: before
 // building the architecture it names, Load reads the weight bytes that
 // architecture implies and refuses the checkpoint if the stream ends
-// first, so a short body cannot make it allocate a large model.
+// first, so a short body cannot make it allocate a large model. It also
+// refuses any NaN or ±Inf weight, naming the parameter that holds it.
 func Load(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
@@ -66,6 +67,15 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	if err := m.Params.ReadInto(io.MultiReader(bytes.NewReader(head), br)); err != nil {
 		return nil, err
+	}
+	// A NaN or ±Inf weight would make every score non-finite, which no
+	// caller can serve or rank, so the checkpoint is refused outright.
+	for _, p := range m.Params.All() {
+		for i, v := range p.Value.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("gnn: checkpoint parameter %s has non-finite weight %v at index %d", p.Name, v, i)
+			}
+		}
 	}
 	return m, nil
 }

@@ -166,13 +166,13 @@ func TestMaxCutTraining(t *testing.T) {
 	for epoch := 0; epoch < 300; epoch++ {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
-		scores := m.Forward(tp, bound, g, x)
+		scores := m.Forward(tp, bound, g, x, m.NewPrep(g))
 		loss := MaxCutLoss(tp, g, scores)
 		tp.Backward(loss)
 		nn.Collect(bound, grads)
 		opt.Step(grads)
 	}
-	scores := m.Score(g, x)
+	scores := score(m, g, x)
 	side := make([]bool, 6)
 	for v, s := range scores {
 		side[v] = s > 0.5

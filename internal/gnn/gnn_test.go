@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,12 @@ import (
 	"privim/internal/nn"
 	"privim/internal/tensor"
 )
+
+// score is Model.Score under context.Background, which never errors.
+func score(m *Model, g *graph.Graph, x *tensor.Matrix) []float64 {
+	s, _ := m.Score(context.Background(), g, x)
+	return s
+}
 
 // tinyGraph: star with hub 0 pointing at 1..4, plus a back edge.
 func tinyGraph() *graph.Graph {
@@ -48,7 +55,7 @@ func TestAllKindsForwardShapeAndRange(t *testing.T) {
 			}
 			m.Init(rng)
 			x := tinyFeatures(g, 3, rng)
-			scores := m.Score(g, x)
+			scores := score(m, g, x)
 			if len(scores) != g.NumNodes() {
 				t.Fatalf("scores length %d, want %d", len(scores), g.NumNodes())
 			}
@@ -79,13 +86,13 @@ func TestAllKindsGradCheck(t *testing.T) {
 			eval := func() float64 {
 				tp := autodiff.NewTape()
 				bound := nn.Bind(tp, m.Params)
-				out := m.Forward(tp, bound, g, x)
+				out := m.Forward(tp, bound, g, x, m.NewPrep(g))
 				return IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}).Value.Data[0]
 			}
 
 			tp := autodiff.NewTape()
 			bound := nn.Bind(tp, m.Params)
-			out := m.Forward(tp, bound, g, x)
+			out := m.Forward(tp, bound, g, x, m.NewPrep(g))
 			loss := IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3})
 			tp.Backward(loss)
 			grads := nn.NewGrads(m.Params)
@@ -215,13 +222,13 @@ func TestTrainingRanksHubFirst(t *testing.T) {
 	for epoch := 0; epoch < 200; epoch++ {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
-		out := m.Forward(tp, bound, g, x)
+		out := m.Forward(tp, bound, g, x, m.NewPrep(g))
 		loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.5})
 		tp.Backward(loss)
 		nn.Collect(bound, grads)
 		opt.Step(grads)
 	}
-	scores := m.Score(g, x)
+	scores := score(m, g, x)
 	// Node 1 also has outgoing influence (back edge to the hub), so the
 	// clean comparison is hub vs the pure leaves 2..4.
 	for v := 2; v < len(scores); v++ {
@@ -262,7 +269,7 @@ func TestMultiHeadAttention(t *testing.T) {
 			}
 		}
 		x := tinyFeatures(g, 2, rng)
-		scores := m.Score(g, x)
+		scores := score(m, g, x)
 		for i, s := range scores {
 			if s <= 0 || s >= 1 || math.IsNaN(s) {
 				t.Fatalf("%s heads=3 score[%d] = %v", kind, i, s)
@@ -287,12 +294,12 @@ func TestMultiHeadGradCheck(t *testing.T) {
 	eval := func() float64 {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
-		out := m.Forward(tp, bound, g, x)
+		out := m.Forward(tp, bound, g, x, m.NewPrep(g))
 		return IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2}).Value.Data[0]
 	}
 	tp := autodiff.NewTape()
 	bound := nn.Bind(tp, m.Params)
-	out := m.Forward(tp, bound, g, x)
+	out := m.Forward(tp, bound, g, x, m.NewPrep(g))
 	loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2})
 	tp.Backward(loss)
 	grads := nn.NewGrads(m.Params)
@@ -327,5 +334,5 @@ func TestForwardShapePanic(t *testing.T) {
 			t.Fatal("expected panic for wrong feature dim")
 		}
 	}()
-	m.Forward(tp, bound, g, tensor.New(g.NumNodes(), 2))
+	m.Forward(tp, bound, g, tensor.New(g.NumNodes(), 2), m.NewPrep(g))
 }

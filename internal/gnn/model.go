@@ -229,40 +229,31 @@ func (m *Model) NewPrep(g *graph.Graph) *Prep {
 
 // Forward runs the model on subgraph g with node features x (n×InputDim)
 // and returns the n×1 vector of seed-selection probabilities in (0,1).
-// bound must come from nn.Bind(tp, m.Params). The graph-derived operators
-// are rebuilt per call; training loops should precompute a Prep once per
-// subgraph and use ForwardPrep.
-func (m *Model) Forward(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix) *autodiff.Node {
-	return m.ForwardPrep(tp, bound, g, x, m.NewPrep(g))
-}
-
-// ForwardPrep is Forward with the graph-derived structures supplied by a
-// cached Prep (from NewPrep on the same model kind and graph).
-func (m *Model) ForwardPrep(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) *autodiff.Node {
-	out, _ := m.forwardPrep(nil, tp, bound, g, x, p)
+// bound must come from nn.Bind(tp, m.Params), and p from NewPrep on the
+// same model kind and graph: training loops build one Prep per subgraph
+// and reuse it across iterations.
+func (m *Model) Forward(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) *autodiff.Node {
+	out, _ := m.forward(context.Background(), tp, bound, g, x, p) // Background never cancels
 	return out
 }
 
-// forwardPrep is the ForwardPrep core with an optional context: a
-// non-nil ctx is checked before every layer, so a canceled inference
-// stops within one layer's SpMM/GEMM work. A nil ctx never errors.
-func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) (*autodiff.Node, error) {
+// forward is Forward under a context, checked before every layer, so a
+// canceled inference stops within one layer's SpMM/GEMM work.
+func (m *Model) forward(ctx context.Context, tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) (*autodiff.Node, error) {
 	if x.Rows != g.NumNodes() || x.Cols != m.Cfg.InputDim {
 		panic(fmt.Sprintf("gnn: Forward features %dx%d for graph with %d nodes, input dim %d",
 			x.Rows, x.Cols, g.NumNodes(), m.Cfg.InputDim))
 	}
 	if p.kind != m.Cfg.Kind || p.n != g.NumNodes() {
-		panic(fmt.Sprintf("gnn: ForwardPrep prep built for kind %q / %d nodes, model is %q / %d",
+		panic(fmt.Sprintf("gnn: Forward prep built for kind %q / %d nodes, model is %q / %d",
 			p.kind, p.n, m.Cfg.Kind, g.NumNodes()))
 	}
 	h := tp.Leaf(x)
 	switch m.Cfg.Kind {
 	case GCN:
 		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			agg := autodiff.SpMM(p.adj, h)
 			z := autodiff.MatMul(agg, bound[m.layers[l].w])
@@ -271,10 +262,8 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 		}
 	case GraphSAGE:
 		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			neigh := autodiff.SpMM(p.adj, h)
 			cat := autodiff.ConcatCols(h, neigh)
@@ -291,10 +280,8 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 			seg = p.src
 		}
 		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			refs := m.layers[l]
 			wh := autodiff.MatMul(h, bound[refs.w])
@@ -307,10 +294,8 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 		}
 	case GIN:
 		for l := 0; l < m.Cfg.Layers; l++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			neigh := autodiff.SpMM(p.adj, h)
 			// (1+ε)·h + Σ_neighbors h, with learnable scalar ε broadcast.
@@ -325,10 +310,8 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 			h = autodiff.ReLU(z)
 		}
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	skip := autodiff.ConcatCols(h, tp.Leaf(x))
 	logits := autodiff.MatMul(skip, bound[m.readoutW])
@@ -337,24 +320,14 @@ func (m *Model) forwardPrep(ctx context.Context, tp *autodiff.Tape, bound []*aut
 }
 
 // Score runs a forward pass outside any training loop and returns the
-// plain seed probabilities for graph g.
-func (m *Model) Score(g *graph.Graph, x *tensor.Matrix) []float64 {
+// plain seed probabilities for graph g. The pass checks ctx between
+// layers, so a canceled or deadline-expired query stops within one
+// layer's SpMM/GEMM work instead of running the full model; it then
+// returns ctx's error. Under context.Background it never errors.
+func (m *Model) Score(ctx context.Context, g *graph.Graph, x *tensor.Matrix) ([]float64, error) {
 	tp := autodiff.NewTape()
 	bound := nn.Bind(tp, m.Params)
-	out := m.Forward(tp, bound, g, x)
-	scores := make([]float64, g.NumNodes())
-	copy(scores, out.Value.Data)
-	return scores
-}
-
-// ScoreContext is Score under a caller context: the forward pass checks
-// ctx between layers, so a canceled or deadline-expired query stops
-// within one layer's SpMM/GEMM work instead of running the full model.
-// A completed call returns exactly Score's output.
-func (m *Model) ScoreContext(ctx context.Context, g *graph.Graph, x *tensor.Matrix) ([]float64, error) {
-	tp := autodiff.NewTape()
-	bound := nn.Bind(tp, m.Params)
-	out, err := m.forwardPrep(ctx, tp, bound, g, x, m.NewPrep(g))
+	out, err := m.forward(ctx, tp, bound, g, x, m.NewPrep(g))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package im
 
 import (
+	"context"
 	"testing"
 
 	"privim/internal/graph"
@@ -23,7 +24,7 @@ func TestRRSetGenerationSteadyStateZeroAlloc(t *testing.T) {
 	var locs []rrLoc
 	run := func() {
 		arena.reset()
-		locs, _, _ = generateRRSets(nil, g, arena, 400, 0, 0, 11, 1, scratch, locs, nil, "im.test.rrsets")
+		locs, _, _ = generateRRSets(context.Background(), g, arena, 400, 0, 0, 11, 1, scratch, locs, nil, "im.test.rrsets")
 	}
 	run() // warm: grows arena, scratch, and locs to capacity
 	run()

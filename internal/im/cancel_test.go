@@ -30,15 +30,6 @@ func TestSelectContextSolvers(t *testing.T) {
 			},
 		},
 		{
-			name: "greedy",
-			plain: func(k int) []graph.NodeID {
-				return (&Greedy{Model: model, Rounds: 10, Seed: 1, NumNodes: g.NumNodes()}).Select(k)
-			},
-			ctxSel: func(ctx context.Context, k int) ([]graph.NodeID, error) {
-				return (&Greedy{Model: model, Rounds: 10, Seed: 1, NumNodes: g.NumNodes()}).SelectContext(ctx, k)
-			},
-		},
-		{
 			name: "ris",
 			plain: func(k int) []graph.NodeID {
 				return (&RIS{G: g, Samples: 200, Seed: 1}).Select(k)

@@ -1,8 +1,8 @@
 // Package im implements the classical influence-maximization solvers the
 // paper compares against: CELF lazy greedy (the ground truth with its
-// (1−1/e) guarantee, §V-A), plain greedy, degree and degree-discount
-// heuristics, and an RIS (reverse-influence-sampling) baseline. It also
-// provides the coverage-ratio metric used throughout the evaluation.
+// (1−1/e) guarantee, §V-A), degree and degree-discount heuristics, and
+// an RIS (reverse-influence-sampling) baseline. It also provides the
+// coverage-ratio metric used throughout the evaluation.
 package im
 
 import (
@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"time"
 
 	"privim/internal/bitset"
 	"privim/internal/diffusion"
@@ -30,12 +31,12 @@ type Solver interface {
 
 // CanceledError reports a seed selection stopped early because its
 // context was canceled or its deadline expired. Seeds holds the seeds
-// picked before the stop — a valid greedy prefix for CELF/Greedy (every
+// picked before the stop — a valid greedy prefix for CELF (every
 // pick was made against the full candidate pool), nil when the solver
 // was still generating RR sets or initial gains. Unwrap yields the
 // context error, so errors.Is(err, context.Canceled) works through it.
 type CanceledError struct {
-	// Solver is the solver name ("celf", "greedy", "ris", "imm").
+	// Solver is the solver name ("celf", "ris", "imm").
 	Solver string
 	// Seeds is the partial greedy prefix selected before the stop.
 	Seeds []graph.NodeID
@@ -64,6 +65,32 @@ func cancelSelect(o obs.Observer, clk *obs.CancelClock, solver, phase string, se
 		Latency: clk.Latency(),
 	})
 	return &CanceledError{Solver: solver, Seeds: seeds, K: k, Err: err}
+}
+
+// forObserved is parallel.For wrapped in observability: the fan-out runs
+// inside a child span of parent named "parallel.<site>" and emits one
+// obs.ParallelFor event to the parent's observer, so kernel-level
+// concurrency shows up in traces and metrics. The event is emitted even
+// on a canceled call (its Chunks count then reflects the partial
+// execution), so traces show where a canceled request actually stopped.
+// A nil parent runs plain parallel.For — zero events, zero allocations.
+func forObserved(ctx context.Context, parent *obs.Span, site string, workers, n, grain int, fn func(worker, lo, hi int)) (parallel.Stats, error) {
+	if parent == nil {
+		return parallel.For(ctx, workers, n, grain, fn)
+	}
+	sp := parent.Child("parallel." + site)
+	start := time.Now()
+	st, err := parallel.For(ctx, workers, n, grain, fn)
+	sp.End()
+	obs.Emit(parent.Observer(), obs.ParallelFor{
+		Site:      site,
+		Workers:   st.Workers,
+		Tasks:     n,
+		Chunks:    st.Chunks,
+		Imbalance: st.Imbalance(),
+		Elapsed:   time.Since(start),
+	})
+	return st, err
 }
 
 // celfEntry is one lazy-greedy priority-queue element.
@@ -170,7 +197,8 @@ func (c *CELF) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error)
 	spread := func(seeds []graph.NodeID) float64 {
 		c.Evaluations++
 		// Serial (lazy) phase: let the estimator itself use the pool.
-		return diffusion.EstimateWorkers(c.Model, seeds, rounds, c.Seed, workers)
+		mean, _ := diffusion.Estimate(context.Background(), c.Model, seeds, rounds, c.Seed, diffusion.Options{Workers: workers}) // Background never cancels
+		return mean
 	}
 
 	// Initial pass: every candidate's solo spread is independent, so fan
@@ -178,9 +206,9 @@ func (c *CELF) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error)
 	// nesting. Estimates are per-round-seeded, so gains are identical to
 	// the serial pass.
 	gains := make([]float64, len(cands))
-	if _, err := parallel.ForObservedCtx(ctx, span, "im.celf.initial", workers, len(cands), 4, func(_, lo, hi int) {
+	if _, err := forObserved(ctx, span, "im.celf.initial", workers, len(cands), 4, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			gains[i] = diffusion.EstimateWorkers(c.Model, cands[i:i+1], rounds, c.Seed, 1)
+			gains[i], _ = diffusion.Estimate(context.Background(), c.Model, cands[i:i+1], rounds, c.Seed, diffusion.Options{Workers: 1}) // Background never cancels
 		}
 	}); err != nil {
 		return nil, cancelSelect(o, clk, "celf", "select", nil, k, err)
@@ -226,111 +254,6 @@ func (c *CELF) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error)
 		top.gain = cur - base
 		top.round = len(seeds)
 		heap.Push(&q, top)
-	}
-	return seeds, nil
-}
-
-// Greedy is the plain (non-lazy) greedy solver; kept as the correctness
-// oracle for CELF in tests.
-type Greedy struct {
-	Model    diffusion.Model
-	Rounds   int
-	Seed     int64
-	NumNodes int
-	// Workers caps the pool for the per-round gain pass (0 = process
-	// default); the argmax stays serial so ties break toward the lowest
-	// node ID exactly as in the serial solver.
-	Workers int
-
-	// Evaluations counts spread estimates performed by the last Select
-	// call (the baseline CELF's LookupsSaved is measured against).
-	Evaluations int
-	// Obs, when non-nil, receives one SeedSelected event per pick.
-	Obs obs.Observer
-}
-
-// Name implements Solver.
-func (g *Greedy) Name() string { return "greedy" }
-
-// Select implements Solver.
-func (g *Greedy) Select(k int) []graph.NodeID {
-	seeds, _ := g.SelectContext(context.Background(), k)
-	return seeds
-}
-
-// SelectContext is Select under a caller context (see CELF.SelectContext).
-// Cancellation is checked at every gain-pass chunk and every pick; the
-// *CanceledError carries the greedy prefix picked before the stop.
-func (g *Greedy) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := obs.StartSpanCtx(ctx, g.Obs, "im.greedy.select")
-	defer span.End()
-	o := g.Obs
-	if o == nil {
-		o = span.Observer()
-	}
-	clk := obs.WatchCancel(ctx)
-	defer clk.Stop()
-	if k > g.NumNodes {
-		k = g.NumNodes
-	}
-	rounds := g.Rounds
-	if rounds < 1 {
-		rounds = 100
-	}
-	g.Evaluations = 0
-	workers := parallel.Resolve(g.Workers)
-	chosen := make(map[graph.NodeID]bool, k)
-	seeds := make([]graph.NodeID, 0, k)
-	gains := make([]float64, g.NumNodes)
-	// Gain pass: independent per candidate, fanned out with serial inner
-	// estimates (no nesting). Each estimate is per-round-seeded, so gains
-	// match the serial solver exactly. Each worker reuses one candidate
-	// slice — seeds prefix plus a last slot that swaps per candidate —
-	// instead of re-appending a fresh O(k) slice every evaluation.
-	cands := make([][]graph.NodeID, workers)
-	gainPass := func(w, lo, hi int) {
-		cand := append(cands[w][:0], seeds...)
-		cand = append(cand, 0)
-		for v := lo; v < hi; v++ {
-			if chosen[graph.NodeID(v)] {
-				gains[v] = -1
-				continue
-			}
-			cand[len(cand)-1] = graph.NodeID(v)
-			gains[v] = diffusion.EstimateWorkers(g.Model, cand, rounds, g.Seed, 1)
-		}
-		cands[w] = cand
-	}
-	base := 0.0
-	for len(seeds) < k {
-		if _, err := parallel.ForObservedCtx(ctx, span, "im.greedy.gains", workers, g.NumNodes, 4, gainPass); err != nil {
-			return nil, cancelSelect(o, clk, "greedy", "select", seeds, k, err)
-		}
-		g.Evaluations += g.NumNodes - len(seeds)
-		// Serial argmax: first strict improvement wins, preserving the
-		// lowest-node-ID tie-break of the serial loop.
-		bestGain := -1.0
-		var best graph.NodeID
-		for v := 0; v < g.NumNodes; v++ {
-			if !chosen[graph.NodeID(v)] && gains[v] > bestGain {
-				bestGain = gains[v]
-				best = graph.NodeID(v)
-			}
-		}
-		chosen[best] = true
-		seeds = append(seeds, best)
-		if g.Obs != nil {
-			obs.Emit(g.Obs, obs.SeedSelected{
-				K:            len(seeds),
-				Node:         int64(best),
-				MarginalGain: bestGain - base,
-				Evaluations:  g.Evaluations,
-			})
-		}
-		base = bestGain
 	}
 	return seeds, nil
 }
@@ -706,9 +629,9 @@ var rrGenPool = sync.Pool{New: func() any {
 // the pool stats; a non-nil parent span gets a child span and a
 // ParallelFor event under the given site name.
 //
-// A non-nil ctx is checked at every draw-chunk boundary; on
-// cancellation the partial draws are discarded (worker arenas cleared,
-// nothing compacted into arena) and the context error is returned.
+// ctx is checked at every draw-chunk boundary; on cancellation the
+// partial draws are discarded (worker arenas cleared, nothing compacted
+// into arena) and the context error is returned.
 func generateRRSets(ctx context.Context, g *graph.Graph, arena *rrArena, count, base, maxDepth int, seed int64, workers int, scratch *parallel.Scratch[*rrScratch], locs []rrLoc, parent *obs.Span, site string) ([]rrLoc, parallel.Stats, error) {
 	n := g.NumNodes()
 	workers = parallel.Resolve(workers)
@@ -726,7 +649,7 @@ func generateRRSets(ctx context.Context, g *graph.Graph, arena *rrArena, count, 
 	gs := rrGenPool.Get().(*rrGenState)
 	gs.g, gs.n, gs.base, gs.maxDepth, gs.seed = g, n, base, maxDepth, seed
 	gs.scratch, gs.locs = scratch, locs
-	st, err := parallel.ForObservedCtx(ctx, parent, site, workers, count, 16, gs.body)
+	st, err := forObserved(ctx, parent, site, workers, count, 16, gs.body)
 	gs.g, gs.scratch, gs.locs = nil, nil, nil // don't pin caller data in the pool
 	rrGenPool.Put(gs)
 	if err != nil {

@@ -66,8 +66,8 @@ func TestIMMComparableToCELF(t *testing.T) {
 	model := &diffusion.IC{G: g}
 	celf := &CELF{Model: model, Rounds: 200, Seed: 3, NumNodes: 60}
 	imm := &IMM{G: g, Seed: 3}
-	celfSpread := diffusion.Estimate(model, celf.Select(5), 2000, 9)
-	immSpread := diffusion.Estimate(model, imm.Select(5), 2000, 9)
+	celfSpread := spread(model, celf.Select(5), 2000, 9)
+	immSpread := spread(model, imm.Select(5), 2000, 9)
 	if immSpread < 0.85*celfSpread {
 		t.Fatalf("IMM spread %v too far below CELF %v", immSpread, celfSpread)
 	}

@@ -1,6 +1,7 @@
 package im
 
 import (
+	"context"
 	"math/rand"
 
 	"privim/internal/diffusion"
@@ -49,7 +50,7 @@ func (n *NoisyGreedy) Select(k int) []graph.NodeID {
 	for len(seeds) < k {
 		base := 0.0
 		if len(seeds) > 0 {
-			base = diffusion.Estimate(n.Model, seeds, rounds, n.Seed)
+			base, _ = diffusion.Estimate(context.Background(), n.Model, seeds, rounds, n.Seed, diffusion.Options{}) // Background never cancels
 		}
 		best := graph.NodeID(-1)
 		bestNoisy := 0.0
@@ -58,7 +59,8 @@ func (n *NoisyGreedy) Select(k int) []graph.NodeID {
 				continue
 			}
 			cand := append(append([]graph.NodeID{}, seeds...), graph.NodeID(v))
-			gain := diffusion.Estimate(n.Model, cand, rounds, n.Seed) - base
+			spread, _ := diffusion.Estimate(context.Background(), n.Model, cand, rounds, n.Seed, diffusion.Options{}) // Background never cancels
+			gain := spread - base
 			noisy := gain + dp.SampleLaplace(scale, rng)
 			if best < 0 || noisy > bestNoisy {
 				best, bestNoisy = graph.NodeID(v), noisy

@@ -21,11 +21,11 @@ func TestNoisyGreedyExample2(t *testing.T) {
 	const k = 5
 
 	celf := &CELF{Model: model, Rounds: 1, Seed: 1, NumNodes: g.NumNodes()}
-	ref := diffusion.Estimate(model, celf.Select(k), 1, 2)
+	ref := spread(model, celf.Select(k), 1, 2)
 
 	// Essentially non-private budget: noise scale ~0, recovers greedy.
 	exact := &NoisyGreedy{Model: model, Epsilon: 1e9, Rounds: 1, Seed: 1, NumNodes: g.NumNodes()}
-	exactSpread := diffusion.Estimate(model, exact.Select(k), 1, 2)
+	exactSpread := spread(model, exact.Select(k), 1, 2)
 	if exactSpread < 0.95*ref {
 		t.Fatalf("eps=1e9 noisy greedy spread %v should match CELF %v", exactSpread, ref)
 	}
@@ -35,7 +35,7 @@ func TestNoisyGreedyExample2(t *testing.T) {
 	const trials = 5
 	for i := int64(0); i < trials; i++ {
 		ng := &NoisyGreedy{Model: model, Epsilon: 1, Rounds: 1, Seed: i, NumNodes: g.NumNodes()}
-		total += diffusion.Estimate(model, ng.Select(k), 1, 2)
+		total += spread(model, ng.Select(k), 1, 2)
 	}
 	noisySpread := total / trials
 	if noisySpread > 0.6*ref {

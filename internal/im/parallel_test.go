@@ -1,6 +1,7 @@
 package im
 
 import (
+	"context"
 	"testing"
 
 	"privim/internal/diffusion"
@@ -52,10 +53,6 @@ func TestSolversWorkerInvariant(t *testing.T) {
 			t.Fatalf("celf evaluations differ: %d vs %d", celf1.Evaluations, celfW.Evaluations)
 		}
 
-		greedy1 := &Greedy{Model: model, Rounds: 50, Seed: 5, NumNodes: g.NumNodes(), Workers: 1}
-		greedyW := &Greedy{Model: model, Rounds: 50, Seed: 5, NumNodes: g.NumNodes(), Workers: w}
-		sameSeeds(t, "greedy", greedy1.Select(3), greedyW.Select(3))
-
 		ris1 := &RIS{G: g, Samples: 300, Seed: 9, Workers: 1}
 		risW := &RIS{G: g, Samples: 300, Seed: 9, Workers: w}
 		sameSeeds(t, "ris", ris1.Select(4), risW.Select(4))
@@ -74,12 +71,12 @@ func TestGenerateRRSetsStreamStable(t *testing.T) {
 		return parallel.NewScratch(func() *rrScratch { return newRRScratch(g.NumNodes()) })
 	}
 	var whole rrArena
-	generateRRSets(nil, g, &whole, 100, 0, 0, 42, 3, newScratch(), nil, nil, "")
+	generateRRSets(context.Background(), g, &whole, 100, 0, 0, 42, 3, newScratch(), nil, nil, "")
 	// Two stacked batches at different widths into one arena.
 	var stacked rrArena
 	sc := newScratch()
-	locs, _, _ := generateRRSets(nil, g, &stacked, 60, 0, 0, 42, 2, sc, nil, nil, "")
-	generateRRSets(nil, g, &stacked, 40, 60, 0, 42, 5, sc, locs, nil, "")
+	locs, _, _ := generateRRSets(context.Background(), g, &stacked, 60, 0, 0, 42, 2, sc, nil, nil, "")
+	generateRRSets(context.Background(), g, &stacked, 40, 60, 0, 42, 5, sc, locs, nil, "")
 	if whole.numSets() != stacked.numSets() {
 		t.Fatalf("%d vs %d sets", whole.numSets(), stacked.numSets())
 	}
@@ -128,5 +125,31 @@ func TestRISEmitsParallelFor(t *testing.T) {
 	r.Select(3)
 	if len(got) != 1 || got[0].Site != "im.ris.rrsets" || got[0].Tasks != 100 {
 		t.Fatalf("unexpected ParallelFor events: %+v", got)
+	}
+}
+
+// TestCELFEmitsParallelFor checks the initial-gain site: with an observer,
+// Select runs the fan-out inside a "parallel.im.celf.initial" child span
+// of the solver span and reports its pool stats.
+func TestCELFEmitsParallelFor(t *testing.T) {
+	g := parallelTestGraph(t)
+	var spans []obs.SpanStart
+	var fors []obs.ParallelFor
+	c := &CELF{Model: &diffusion.IC{G: g, MaxSteps: 1}, Rounds: 5, Seed: 1, NumNodes: g.NumNodes(), Workers: 2,
+		Obs: obs.ObserverFunc(func(e obs.Event) {
+			switch e := e.(type) {
+			case obs.SpanStart:
+				spans = append(spans, e)
+			case obs.ParallelFor:
+				fors = append(fors, e)
+			}
+		})}
+	c.Select(3)
+	if len(spans) != 2 || spans[0].Span != "im.celf.select" || spans[1].Span != "parallel.im.celf.initial" ||
+		spans[1].Parent != spans[0].ID {
+		t.Fatalf("unexpected spans: %+v", spans)
+	}
+	if len(fors) != 1 || fors[0].Site != "im.celf.initial" || fors[0].Tasks != g.NumNodes() || fors[0].Chunks == 0 {
+		t.Fatalf("unexpected ParallelFor events: %+v", fors)
 	}
 }

@@ -29,8 +29,8 @@ func TestStaticGreedyDeterministicWorld(t *testing.T) {
 	sg := &StaticGreedy{G: g, Worlds: 1, Seed: 2}
 	celf := &CELF{Model: &diffusion.IC{G: g}, Rounds: 1, Seed: 2, NumNodes: g.NumNodes()}
 	model := &diffusion.IC{G: g}
-	a := diffusion.Estimate(model, sg.Select(2), 1, 3)
-	b := diffusion.Estimate(model, celf.Select(2), 1, 3)
+	a := spread(model, sg.Select(2), 1, 3)
+	b := spread(model, celf.Select(2), 1, 3)
 	if a != b {
 		t.Fatalf("static greedy spread %v != CELF spread %v", a, b)
 	}
@@ -56,7 +56,7 @@ func TestStaticGreedyMatchesMonteCarloSpread(t *testing.T) {
 	s := &StaticGreedy{G: g, Worlds: 400, Seed: 6}
 	seeds := s.Select(5)
 	snapshot := s.ExpectedSpread(seeds)
-	mc := diffusion.Estimate(&diffusion.IC{G: g}, seeds, 4000, 7)
+	mc := spread(&diffusion.IC{G: g}, seeds, 4000, 7)
 	if math.Abs(snapshot-mc) > 0.15*mc {
 		t.Fatalf("snapshot spread %v vs Monte Carlo %v differ beyond 15%%", snapshot, mc)
 	}
@@ -69,8 +69,8 @@ func TestStaticGreedyCompetitiveWithCELF(t *testing.T) {
 	model := &diffusion.IC{G: g}
 	sg := &StaticGreedy{G: g, Worlds: 200, Seed: 9}
 	celf := &CELF{Model: model, Rounds: 100, Seed: 9, NumNodes: g.NumNodes()}
-	sgSpread := diffusion.Estimate(model, sg.Select(5), 3000, 10)
-	celfSpread := diffusion.Estimate(model, celf.Select(5), 3000, 10)
+	sgSpread := spread(model, sg.Select(5), 3000, 10)
+	celfSpread := spread(model, celf.Select(5), 3000, 10)
 	if sgSpread < 0.9*celfSpread {
 		t.Fatalf("static greedy spread %v too far below CELF %v", sgSpread, celfSpread)
 	}

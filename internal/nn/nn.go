@@ -5,6 +5,7 @@
 package nn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -160,7 +161,7 @@ func SumTree(grads []*Grads, workers int) {
 			continue
 		}
 		step := 2 * stride
-		parallel.For(workers, pairs, 1, func(_, lo, hi int) {
+		parallel.For(context.Background(), workers, pairs, 1, func(_, lo, hi int) {
 			for p := lo; p < hi; p++ {
 				i := p * step
 				grads[i].Add(1, grads[i+stride])

@@ -74,7 +74,7 @@ func (s *Span) Trace() string {
 }
 
 // Observer returns the observer the span emits to (nil for a nil span),
-// so helpers holding only a span — parallel.ForObserved, for example —
+// so helpers holding only a span — im's forObserved, for example —
 // can emit sibling events into the same stream.
 func (s *Span) Observer() Observer {
 	if s == nil {

@@ -9,20 +9,23 @@ import (
 	"time"
 )
 
-// A completed ForCtx must execute exactly the work For does — same index
-// coverage, so call sites writing disjoint ranges get bit-identical
-// output at any worker count.
-func TestForCtxMatchesFor(t *testing.T) {
+// A completed call under a cancelable context must execute exactly the
+// work a call under context.Background does — same index coverage, so
+// call sites writing disjoint ranges get bit-identical output at any
+// worker count.
+func TestForCancelableMatchesBackground(t *testing.T) {
 	const n = 1003
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, workers := range []int{1, 2, 4, 7} {
 		ref := make([]float64, n)
-		For(workers, n, 16, func(_, lo, hi int) {
+		For(context.Background(), workers, n, 16, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				ref[i] = math.Sqrt(float64(i)) * 1.5
 			}
 		})
 		got := make([]float64, n)
-		st, err := ForCtx(context.Background(), workers, n, 16, func(_, lo, hi int) {
+		st, err := For(ctx, workers, n, 16, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				got[i] = math.Sqrt(float64(i)) * 1.5
 			}
@@ -41,28 +44,14 @@ func TestForCtxMatchesFor(t *testing.T) {
 	}
 }
 
-func TestForCtxNilContextDelegates(t *testing.T) {
-	var calls atomic.Int64
-	st, err := ForCtx(nil, 4, 100, 10, func(_, lo, hi int) { calls.Add(int64(hi - lo)) })
-	if err != nil {
-		t.Fatalf("nil ctx: %v", err)
-	}
-	if calls.Load() != 100 {
-		t.Fatalf("nil ctx covered %d of 100 indices", calls.Load())
-	}
-	if st.Chunks == 0 {
-		t.Fatalf("nil ctx reported zero chunks")
-	}
-}
-
 // A context canceled before the call starts must stop the fan-out
 // without running any chunk.
-func TestForCtxPreCanceled(t *testing.T) {
+func TestForPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		st, err := ForCtx(ctx, workers, 1000, 10, func(_, _, _ int) { ran.Add(1) })
+		st, err := For(ctx, workers, 1000, 10, func(_, _, _ int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -78,10 +67,10 @@ func TestForCtxPreCanceled(t *testing.T) {
 // Canceling mid-flight stops the remaining chunks: with a serial worker
 // the check runs before every chunk, so canceling inside chunk 0 means
 // only chunk 0 executes.
-func TestForCtxSerialCancelStopsAtChunkBoundary(t *testing.T) {
+func TestForSerialCancelStopsAtChunkBoundary(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	st, err := ForCtx(ctx, 1, 100, 10, func(_, _, _ int) {
+	st, err := For(ctx, 1, 100, 10, func(_, _, _ int) {
 		ran.Add(1)
 		cancel()
 	})
@@ -99,7 +88,7 @@ func TestForCtxSerialCancelStopsAtChunkBoundary(t *testing.T) {
 // Cancellation latency: with chunks that take ~1ms, a cancel must
 // surface within a small multiple of one grain of work per worker, far
 // under the 2s budget the serving layer promises.
-func TestForCtxCancelLatency(t *testing.T) {
+func TestForCancelLatency(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -107,7 +96,7 @@ func TestForCtxCancelLatency(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := ForCtx(ctx, 4, 100000, 1, func(_, _, _ int) {
+	_, err := For(ctx, 4, 100000, 1, func(_, _, _ int) {
 		time.Sleep(time.Millisecond)
 	})
 	elapsed := time.Since(start)

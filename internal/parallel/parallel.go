@@ -14,8 +14,7 @@
 //     randomness from Stream(seed, i), a per-index SplitMix64 stream, never
 //     from a shared sequential RNG.
 //   - Observability: every For returns Stats (workers used, chunks run per
-//     worker, imbalance), and package-wide atomic totals are exposed via
-//     Totals so speedups are measurable rather than asserted.
+//     worker, imbalance), so speedups are measurable rather than asserted.
 //
 // The process-wide worker cap comes from, in priority order: SetLimit
 // (the -workers flag), the PRIVIM_WORKERS environment variable, and
@@ -23,6 +22,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"runtime"
@@ -89,35 +89,36 @@ func (s Stats) Imbalance() float64 {
 	return float64(s.MaxChunks-s.MinChunks) / float64(s.Chunks)
 }
 
-// Package-wide totals, maintained by For.
-var (
-	totalCalls    atomic.Int64
-	totalParallel atomic.Int64
-	totalChunks   atomic.Int64
-)
-
-// Totals reports cumulative For activity since process start: total
-// calls, calls that actually fanned out (vs inline serial), and chunks
-// executed. Exposed so debug endpoints and tests can observe that the
-// parallel paths are exercised.
-func Totals() (calls, parallelCalls, chunks int64) {
-	return totalCalls.Load(), totalParallel.Load(), totalChunks.Load()
-}
-
 // For splits [0, n) into chunks of size grain (grain < 1 means one chunk
 // per worker, rounded up) and runs fn(worker, lo, hi) over them on up to
 // `workers` goroutines (0 = Limit()). Chunks are claimed dynamically via
 // an atomic cursor in ascending order, so fast workers absorb slow
 // chunks. The worker index passed to fn is stable within a call and in
 // [0, Stats.Workers); use it to key per-worker scratch, never to derive
-// randomness or output ordering. For returns after every chunk finished.
+// randomness or output ordering. For returns after every claimed chunk
+// finished. ctx must be non-nil; callers that cannot be canceled pass
+// context.Background().
 //
 // fn must write only to locations indexed by [lo, hi) (or accumulate
 // into per-worker slots that are later reduced in a fixed order) for the
 // result to be deterministic — every call site in this repo does.
-func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
+//
+// Cancellation is checked at every chunk boundary — before each dynamic
+// chunk claim on the parallel path, before each chunk on the inline
+// serial path — so a canceled context stops the fan-out within one grain
+// of work per worker. A call that returns a nil error executed every
+// chunk, so its output is bit-for-bit identical at any worker count and
+// under any context. When the context is canceled mid-flight, For
+// returns ctx.Err() and the output arrays hold an unspecified mix of
+// written and unwritten ranges — callers must treat partial output as
+// garbage, never publish it.
+//
+// Stats always reflects the chunks actually executed, so cancellation
+// latency is observable: a canceled call reports Chunks < the full chunk
+// count.
+func For(ctx context.Context, workers, n, grain int, fn func(worker, lo, hi int)) (Stats, error) {
 	if n <= 0 {
-		return Stats{}
+		return Stats{}, ctx.Err()
 	}
 	workers = Resolve(workers)
 	if workers > n {
@@ -127,16 +128,25 @@ func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 		grain = (n + workers - 1) / workers
 	}
 	chunks := (n + grain - 1) / grain
-	totalCalls.Add(1)
-	totalChunks.Add(int64(chunks))
 	if workers <= 1 || chunks == 1 {
-		fn(0, 0, n)
-		return Stats{Workers: 1, Chunks: chunks, MaxChunks: chunks, MinChunks: chunks}
+		// Serial inline path: iterate chunk-by-chunk so a single-threaded
+		// caller still observes cancellation at grain granularity.
+		for c := 0; c < chunks; c++ {
+			if err := ctx.Err(); err != nil {
+				return Stats{Workers: 1, Chunks: c, MaxChunks: c, MinChunks: c}, err
+			}
+			lo := c * grain
+			hi := lo + grain
+			if hi > n {
+				hi = n
+			}
+			fn(0, lo, hi)
+		}
+		return Stats{Workers: 1, Chunks: chunks, MaxChunks: chunks, MinChunks: chunks}, nil
 	}
 	if workers > chunks {
 		workers = chunks
 	}
-	totalParallel.Add(1)
 	// Capture a never-reassigned copy: capturing grain itself (assigned
 	// above) would force it to the heap in For's prologue, costing one
 	// allocation even on the inline serial path.
@@ -148,7 +158,7 @@ func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for {
+			for ctx.Err() == nil {
 				c := int(cursor.Add(1)) - 1
 				if c >= chunks {
 					return
@@ -164,8 +174,9 @@ func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 		}(w)
 	}
 	wg.Wait()
-	st := Stats{Workers: workers, Chunks: chunks, MinChunks: chunks}
+	st := Stats{Workers: workers, MinChunks: ran[0]}
 	for _, r := range ran {
+		st.Chunks += r
 		if r > st.MaxChunks {
 			st.MaxChunks = r
 		}
@@ -173,7 +184,14 @@ func For(workers, n, grain int, fn func(worker, lo, hi int)) Stats {
 			st.MinChunks = r
 		}
 	}
-	return st
+	if st.Chunks < chunks {
+		// The only way to leave chunks unclaimed is a context error; by
+		// the time every worker has exited, ctx.Err() is non-nil.
+		return st, ctx.Err()
+	}
+	// Every chunk ran: the output is complete and valid even if the
+	// context was canceled an instant after the last chunk finished.
+	return st, nil
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix.

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 7, 64, 1000} {
 			for _, grain := range []int{0, 1, 3, 64, 5000} {
 				hits := make([]int32, n)
-				st := For(workers, n, grain, func(w, lo, hi int) {
+				st, _ := For(context.Background(), workers, n, grain, func(w, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&hits[i], 1)
 					}
@@ -30,7 +31,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestForWorkerIndexInRange(t *testing.T) {
 	var bad atomic.Int64
-	st := For(4, 100, 1, func(w, lo, hi int) {
+	st, _ := For(context.Background(), 4, 100, 1, func(w, lo, hi int) {
 		if w < 0 || w >= 4 {
 			bad.Add(1)
 		}
@@ -48,14 +49,14 @@ func TestForDeterministicOutput(t *testing.T) {
 	// count — the contract every call site in the repo depends on.
 	n := 4096
 	ref := make([]uint64, n)
-	For(1, n, 7, func(w, lo, hi int) {
+	For(context.Background(), 1, n, 7, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ref[i] = Stream(42, uint64(i)).Uint64()
 		}
 	})
 	for _, workers := range []int{2, 5, 16} {
 		got := make([]uint64, n)
-		For(workers, n, 7, func(w, lo, hi int) {
+		For(context.Background(), workers, n, 7, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				got[i] = Stream(42, uint64(i)).Uint64()
 			}
@@ -144,7 +145,7 @@ func TestForHammer(t *testing.T) {
 			sum := int64(0)
 			for rep := 0; rep < 20; rep++ {
 				parts := make([]int64, 16)
-				For(4, 500, 9, func(w, lo, hi int) {
+				For(context.Background(), 4, 500, 9, func(w, lo, hi int) {
 					var local int64
 					for i := lo; i < hi; i++ {
 						local += int64(i)
@@ -173,12 +174,3 @@ func TestForHammer(t *testing.T) {
 type errSum int64
 
 func (e errSum) Error() string { return "bad hammer sum" }
-
-func TestTotalsAdvance(t *testing.T) {
-	calls0, _, chunks0 := Totals()
-	For(2, 100, 10, func(w, lo, hi int) {})
-	calls1, _, chunks1 := Totals()
-	if calls1 <= calls0 || chunks1 < chunks0+10 {
-		t.Fatalf("totals did not advance: %d->%d calls, %d->%d chunks", calls0, calls1, chunks0, chunks1)
-	}
-}

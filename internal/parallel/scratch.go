@@ -1,6 +1,6 @@
 package parallel
 
-// Scratch is a typed per-worker scratch arena for For/ForObserved
+// Scratch is a typed per-worker scratch arena for parallel.For
 // callbacks: one lazily-built value of T per worker slot, keyed by the
 // worker index fn receives. It exists so worker-local temporaries (tapes,
 // gradient buffers, frontier queues, RNGs) are built once and reused

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestScratchPerWorkerIsolationUnderFor(t *testing.T) {
 	s.Grow(workers)
 	for rep := 0; rep < 10; rep++ {
 		s.Each(func(w int, b *buf) { b.sum = 0 })
-		For(workers, n, 64, func(w, lo, hi int) {
+		For(context.Background(), workers, n, 64, func(w, lo, hi int) {
 			b := s.Get(w)
 			for i := lo; i < hi; i++ {
 				b.sum += int64(i)

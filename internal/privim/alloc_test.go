@@ -1,6 +1,7 @@
 package privim
 
 import (
+	"context"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 		cfg.Workers = 1
 		cfg.Iterations = iters
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Train(train, cfg); err != nil {
+			if _, err := Train(context.Background(), train, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -30,7 +30,7 @@ func TestTrainCancelResumesBitForBit(t *testing.T) {
 	train := ds.TrainSubgraph().G
 	base := quickConfig(ModeDual)
 	base.Workers = 1
-	baseline, err := Train(train, base)
+	baseline, err := Train(context.Background(), train, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestTrainCancelResumesBitForBit(t *testing.T) {
 	canceled.CheckpointDir = dir
 	canceled.CheckpointEvery = 100 // only the cancel-time save may produce the resume point
 	canceled.Observer = obs.Multi(trap, cancelAtIteration(cancel, 2))
-	_, err = TrainContext(ctx, train, canceled)
+	_, err = Train(ctx, train, canceled)
 	var cerr *CanceledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CanceledError", err)
@@ -75,7 +75,7 @@ func TestTrainCancelResumesBitForBit(t *testing.T) {
 	resumed := canceled
 	resumed.Workers = 2
 	resumed.Observer = trap2
-	got, err := Train(train, resumed)
+	got, err := Train(context.Background(), train, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTrainPreCanceled(t *testing.T) {
 	cancel()
 	cfg := quickConfig(ModeDual)
 	cfg.CheckpointDir = t.TempDir()
-	_, err := TrainContext(ctx, train, cfg)
+	_, err := Train(ctx, train, cfg)
 	var cerr *CanceledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CanceledError", err)

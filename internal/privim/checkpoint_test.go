@@ -2,6 +2,7 @@ package privim
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -87,7 +88,7 @@ func trainExpectCrash(t *testing.T, g *graph.Graph, cfg Config) {
 			panic(r) // a real failure, not our sentinel
 		}
 	}()
-	_, err := Train(g, cfg)
+	_, err := Train(context.Background(), g, cfg)
 	t.Fatalf("Train returned (%v) instead of crashing", err)
 }
 
@@ -183,7 +184,7 @@ func TestTrainResumeBitForBit(t *testing.T) {
 		t.Run(string(mode), func(t *testing.T) {
 			base := quickConfig(mode)
 			base.Workers = 1
-			baseline, err := Train(train, base)
+			baseline, err := Train(context.Background(), train, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +204,7 @@ func TestTrainResumeBitForBit(t *testing.T) {
 			resumed := crashed
 			resumed.Workers = 2
 			resumed.Observer = trap
-			got, err := Train(train, resumed)
+			got, err := Train(context.Background(), train, resumed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +227,7 @@ func TestTrainResumeFallsBackPastCorruptCheckpoints(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
 	base := quickConfig(ModeDual)
-	baseline, err := Train(train, base)
+	baseline, err := Train(context.Background(), train, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestTrainResumeFallsBackPastCorruptCheckpoints(t *testing.T) {
 	trap := &eventTrap{}
 	resumed := crashed
 	resumed.Observer = trap
-	got, err := Train(train, resumed)
+	got, err := Train(context.Background(), train, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestTrainResumeFallsBackPastCorruptCheckpoints(t *testing.T) {
 	}
 	trap2 := &eventTrap{}
 	resumed.Observer = trap2
-	got2, err := Train(train, resumed)
+	got2, err := Train(context.Background(), train, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestTrainResumeRejectsForeignCheckpoints(t *testing.T) {
 	other.Seed = 1234
 	other.CheckpointDir = dir
 	other.CheckpointEvery = 2
-	if _, err := Train(train, other); err != nil {
+	if _, err := Train(context.Background(), train, other); err != nil {
 		t.Fatal(err)
 	}
 	if len(checkpointFiles(t, dir)) == 0 {
@@ -313,7 +314,7 @@ func TestTrainResumeRejectsForeignCheckpoints(t *testing.T) {
 	}
 
 	base := quickConfig(ModeDual)
-	baseline, err := Train(train, base)
+	baseline, err := Train(context.Background(), train, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestTrainResumeRejectsForeignCheckpoints(t *testing.T) {
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 2
 	cfg.Observer = trap
-	got, err := Train(train, cfg)
+	got, err := Train(context.Background(), train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestCheckpointRetention(t *testing.T) {
 	cfg.CheckpointEvery = 1
 	trap := &eventTrap{}
 	cfg.Observer = trap
-	if _, err := Train(train, cfg); err != nil {
+	if _, err := Train(context.Background(), train, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if n := trap.count("checkpoint_saved"); n != 7 {

@@ -1,6 +1,7 @@
 package privim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func TestTrainEmitsEventStream(t *testing.T) {
 	c := &eventCollector{}
 	cfg.Observer = c
 
-	res, err := Train(train, cfg)
+	res, err := Train(context.Background(), train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +139,13 @@ func TestTrainObserverDoesNotPerturbRun(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
 
-	plain, err := Train(train, quickConfig(ModeDual))
+	plain, err := Train(context.Background(), train, quickConfig(ModeDual))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := quickConfig(ModeDual)
 	cfg.Observer = &eventCollector{}
-	observed, err := Train(train, cfg)
+	observed, err := Train(context.Background(), train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestNoisyLossHistory(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
 	for _, mode := range []Mode{ModeDual, ModeNonPrivate} {
-		res, err := Train(train, quickConfig(mode))
+		res, err := Train(context.Background(), train, quickConfig(mode))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package privim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestTrainAllModes(t *testing.T) {
 	for _, mode := range AllModes() {
 		mode := mode
 		t.Run(string(mode), func(t *testing.T) {
-			res, err := Train(train, quickConfig(mode))
+			res, err := Train(context.Background(), train, quickConfig(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +83,7 @@ func TestTrainAllModes(t *testing.T) {
 
 func TestTrainSCSMode(t *testing.T) {
 	ds := quickDataset(t)
-	res, err := Train(ds.TrainSubgraph().G, quickConfig(ModeSCS))
+	res, err := Train(context.Background(), ds.TrainSubgraph().G, quickConfig(ModeSCS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestTrainSCSMode(t *testing.T) {
 
 func TestDualStageOccurrenceInvariant(t *testing.T) {
 	ds := quickDataset(t)
-	res, err := Train(ds.TrainSubgraph().G, quickConfig(ModeDual))
+	res, err := Train(context.Background(), ds.TrainSubgraph().G, quickConfig(ModeDual))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestNaiveUsesLemma1Bound(t *testing.T) {
 	ds := quickDataset(t)
 	cfg := quickConfig(ModeNaive)
 	cfg.Theta = 3
-	res, err := Train(ds.TrainSubgraph().G, cfg)
+	res, err := Train(context.Background(), ds.TrainSubgraph().G, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +131,11 @@ func TestSmallerThresholdLessNoise(t *testing.T) {
 	lo.Threshold = 2
 	hi := quickConfig(ModeDual)
 	hi.Threshold = 12
-	resLo, err := Train(train, lo)
+	resLo, err := Train(context.Background(), train, lo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resHi, err := Train(train, hi)
+	resHi, err := Train(context.Background(), train, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +147,11 @@ func TestSmallerThresholdLessNoise(t *testing.T) {
 func TestEGNGetsWorstNoise(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
-	egn, err := Train(train, quickConfig(ModeEGN))
+	egn, err := Train(context.Background(), train, quickConfig(ModeEGN))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual, err := Train(train, quickConfig(ModeDual))
+	dual, err := Train(context.Background(), train, quickConfig(ModeDual))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +164,12 @@ func TestConfigErrors(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
 	bad := quickConfig("bogus")
-	if _, err := Train(train, bad); err == nil {
+	if _, err := Train(context.Background(), train, bad); err == nil {
 		t.Fatal("expected error for unknown mode")
 	}
 	neg := quickConfig(ModeDual)
 	neg.Epsilon = -2
-	if _, err := Train(train, neg); err == nil {
+	if _, err := Train(context.Background(), train, neg); err == nil {
 		t.Fatal("expected error for negative epsilon")
 	}
 }
@@ -203,7 +204,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	ds := quickDataset(t)
-	res, err := Train(ds.TrainSubgraph().G, quickConfig(ModeDual))
+	res, err := Train(context.Background(), ds.TrainSubgraph().G, quickConfig(ModeDual))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestMaxCoverObjective(t *testing.T) {
 	cfg := quickConfig(ModeDual)
 	cfg.Objective = ObjectiveMaxCover
 	cfg.Iterations = 20
-	res, err := Train(train, cfg)
+	res, err := Train(context.Background(), train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestMaxCoverObjective(t *testing.T) {
 	// Unknown objective errors.
 	bad := quickConfig(ModeDual)
 	bad.Objective = "bogus"
-	if _, err := Train(train, bad); err == nil {
+	if _, err := Train(context.Background(), train, bad); err == nil {
 		t.Fatal("expected error for unknown objective")
 	}
 }
@@ -242,7 +243,7 @@ func TestLossHistoryConverges(t *testing.T) {
 	ds := quickDataset(t)
 	cfg := quickConfig(ModeNonPrivate)
 	cfg.Iterations = 40
-	res, err := Train(ds.TrainSubgraph().G, cfg)
+	res, err := Train(context.Background(), ds.TrainSubgraph().G, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestLossHistoryConverges(t *testing.T) {
 
 func TestTrainTimingPopulated(t *testing.T) {
 	ds := quickDataset(t)
-	res, err := Train(ds.TrainSubgraph().G, quickConfig(ModeDual))
+	res, err := Train(context.Background(), ds.TrainSubgraph().G, quickConfig(ModeDual))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,26 +75,21 @@ func (r *Result) Accountant() (acct dp.Accountant, ok bool) {
 
 // Train runs the full pipeline of the configured method on the training
 // graph g: subgraph extraction (Module 1), privacy accounting (Module 2),
-// and DP-GNN training (Module 3).
-func Train(g *graph.Graph, cfg Config) (*Result, error) {
-	return TrainContext(context.Background(), g, cfg)
-}
-
-// TrainContext is Train under a caller context: the run's span tree
-// roots under the context's span (the serving layer's per-job span) and
-// inherits the context's trace ID, so every event the run emits is
-// attributable to the request that caused it.
+// and DP-GNN training (Module 3). The run's span tree roots under ctx's
+// span (the serving layer's per-job span) and inherits ctx's trace ID, so
+// every event the run emits is attributable to the request that caused
+// it. A nil ctx means context.Background().
 //
 // Cancellation is honored at two preemption points — the top of every
 // DP-SGD iteration and the chunk boundaries of the per-sample gradient
 // pass — and never after an iteration's noisy update has been applied,
 // so a canceled run always stops on a completed-iteration boundary.
-// On cancel TrainContext returns a *CanceledError carrying the partial
-// Result (model, histories, and the ε actually spent), after writing a
-// final checkpoint when a checkpoint directory is configured. Runs that
+// On cancel Train returns a *CanceledError carrying the partial Result
+// (model, histories, and the ε actually spent), after writing a final
+// checkpoint when a checkpoint directory is configured. Runs that
 // complete without cancellation are bit-for-bit identical to runs under
 // an uncancelable context at any worker count.
-func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
+func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -268,7 +263,7 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 		s := container.Subgraphs[idx]
 		sc.tape.Reset()
 		sc.bound = nn.BindInto(sc.tape, model.Params, sc.bound)
-		scores := model.ForwardPrep(sc.tape, sc.bound, s.G, features[idx], preps[idx])
+		scores := model.Forward(sc.tape, sc.bound, s.G, features[idx], preps[idx])
 		if cfg.Objective == ObjectiveMaxCover {
 			return gnn.MaxCoverLossCover(sc.tape, s.G, scores, cfg.CoverBudget, 1, lossAdj[idx])
 		}
@@ -306,7 +301,6 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 	// be the RNG position at the stop point's iteration boundary: when the
 	// gradient pass is interrupted the batch picks were already drawn, so
 	// the caller passes the position captured before them.
-	cancelable := ctx.Done() != nil
 	clk := obs.WatchCancel(ctx)
 	defer clk.Stop()
 	canceled := func(iter int, draws uint64, cause error) error {
@@ -342,10 +336,8 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 
 	var poolStats parallel.Stats
 	for t := startIter; t < cfg.Iterations; t++ {
-		if cancelable {
-			if err := ctx.Err(); err != nil {
-				return nil, canceled(t, src.Draws(), err)
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, canceled(t, src.Draws(), err)
 		}
 		// The RNG position at this iteration boundary, for the final
 		// checkpoint if the gradient pass below is interrupted.
@@ -355,15 +347,9 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 		for b := range picks {
 			picks[b] = rng.Intn(container.Len())
 		}
-		var st parallel.Stats
-		if cancelable {
-			var err error
-			st, err = parallel.ForCtx(ctx, workers, batch, 1, gradPass)
-			if err != nil {
-				return nil, canceled(t, drawsBefore, err)
-			}
-		} else {
-			st = parallel.For(workers, batch, 1, gradPass)
+		st, err := parallel.For(ctx, workers, batch, 1, gradPass)
+		if err != nil {
+			return nil, canceled(t, drawsBefore, err)
 		}
 		poolStats.Workers = st.Workers
 		poolStats.Chunks += st.Chunks
@@ -403,8 +389,9 @@ func TrainContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 		}
 		// Re-evaluate the same batch against the post-update parameters — a
 		// forward-only pass, recorded as the post-noise loss. batchLosses is
-		// clobbered here; the pre-update mean was taken above.
-		parallel.For(workers, batch, 1, noisyPass)
+		// clobbered here; the pre-update mean was taken above. The noisy
+		// update is already applied, so this pass is never canceled.
+		parallel.For(context.Background(), workers, batch, 1, noisyPass)
 		noisyLoss := 0.0
 		for b := 0; b < batch; b++ {
 			noisyLoss += batchLosses[b]
@@ -537,7 +524,8 @@ func extractContainer(g *graph.Graph, cfg Config, rng *rand.Rand) (*sampling.Con
 // held-out test subgraph) and returns per-node seed probabilities.
 func (r *Result) Scores(g *graph.Graph) []float64 {
 	x := tensor.FromSlice(g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(g))
-	return r.Model.Score(g, x)
+	scores, _ := r.Model.Score(context.Background(), g, x) // Background never cancels
+	return scores
 }
 
 // SelectSeeds scores g and returns the top-k nodes, the paper's seed

@@ -1,6 +1,7 @@
 package privim
 
 import (
+	"context"
 	"testing"
 
 	"privim/internal/obs"
@@ -18,7 +19,7 @@ func TestTrainWorkersBitExact(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := quickConfig(ModeDual)
 		cfg.Workers = workers
-		res, err := Train(train, cfg)
+		res, err := Train(context.Background(), train, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestTrainEmitsParallelFor(t *testing.T) {
 			events = append(events, pf)
 		}
 	})
-	if _, err := Train(ds.TrainSubgraph().G, cfg); err != nil {
+	if _, err := Train(context.Background(), ds.TrainSubgraph().G, cfg); err != nil {
 		t.Fatal(err)
 	}
 	found := false

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -282,7 +283,7 @@ func TestBudgetSurvivesDaemonCrash(t *testing.T) {
 				t.Fatal("training survived the injected crash")
 			}
 		}()
-		core.Train(g, crashCfg)
+		core.Train(context.Background(), g, crashCfg)
 	}()
 	preCrash := l1.Balance("t", st.Fingerprint)
 	if preCrash.Reserved != 4 || preCrash.Committed != 0 {

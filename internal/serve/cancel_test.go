@@ -255,7 +255,7 @@ func TestDrainGracePreemptsRunningJobs(t *testing.T) {
 func TestQueryCanceledRequestNotCached(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := budgetTestServer(t, Options{TrainWorkers: 1, JournalDir: dir, Logf: discard})
-	res, err := core.Train(persistTestGraph(), core.Config{
+	res, err := core.Train(context.Background(), persistTestGraph(), core.Config{
 		Mode: core.ModeNonPrivate, HiddenDim: 4, Layers: 2, SubgraphSize: 8,
 		Iterations: 2, BatchSize: 4, Seed: 1,
 	})

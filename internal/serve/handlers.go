@@ -208,7 +208,7 @@ func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request) (*modelEnt
 // context) stops computing instead of finishing for nobody.
 func score(ctx context.Context, me *modelEntry, ge *graphEntry) ([]float64, error) {
 	x := tensor.FromSlice(ge.g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(ge.g))
-	return me.model.ScoreContext(ctx, ge.g, x)
+	return me.model.Score(ctx, ge.g, x)
 }
 
 // answer serves the query through the LRU cache: a hit returns the

@@ -527,7 +527,7 @@ func (m *jobManager) run(j *job) {
 	ctx = obs.ContextWithSpan(ctx, jobSpan)
 
 	start := time.Now()
-	res, err := core.TrainContext(ctx, g, cfg)
+	res, err := core.Train(ctx, g, cfg)
 	jobSpan.End()
 	m.metrics.Histogram("serve.jobs.train_us").Observe(float64(time.Since(start).Microseconds()))
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"math"
 	"os"
@@ -270,7 +271,7 @@ func TestInterruptedJobResumesAndMatchesBaseline(t *testing.T) {
 		Seed:         req.Seed,
 		Workers:      1,
 	}
-	baseline, err := core.Train(g, cfg)
+	baseline, err := core.Train(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestInterruptedJobResumesAndMatchesBaseline(t *testing.T) {
 				t.Fatal("training survived the injected crash")
 			}
 		}()
-		core.Train(g, crashCfg)
+		core.Train(context.Background(), g, crashCfg)
 	}()
 
 	m2 := newPersistManager(dir)

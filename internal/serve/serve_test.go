@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -53,7 +54,7 @@ func edgeListBytes(t *testing.T, g *graph.Graph) []byte {
 // serialized checkpoint.
 func checkpointBytes(t *testing.T, g *graph.Graph) []byte {
 	t.Helper()
-	res, err := core.Train(g, core.Config{
+	res, err := core.Train(context.Background(), g, core.Config{
 		Mode:         core.ModeNonPrivate,
 		SubgraphSize: 8,
 		HiddenDim:    4,
@@ -477,6 +478,39 @@ func TestModelUploadUnbackedHeader(t *testing.T) {
 		t.Fatalf("healthz after refused upload = %d", code)
 	}
 	g := testGraph(t)
+	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/models/m", checkpointBytes(t, g), nil); code != http.StatusCreated {
+		t.Fatalf("valid checkpoint upload after refusal = %d, want 201", code)
+	}
+}
+
+// TestModelUploadNonFiniteWeight uploads a trained checkpoint whose
+// readout bias is NaN: scoring it could only produce NaN, so the daemon
+// must refuse it with 400, not register it, and keep accepting valid
+// uploads.
+func TestModelUploadNonFiniteWeight(t *testing.T) {
+	s := newTestServer(t, serve.Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	g := testGraph(t)
+	res, err := core.Train(context.Background(), g, core.Config{
+		Mode: core.ModeNonPrivate, SubgraphSize: 8, HiddenDim: 4, Layers: 2, Iterations: 2, BatchSize: 4, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Model.Params.Get("readout.b").Value.Data[0] = math.NaN()
+	var buf bytes.Buffer
+	if err := res.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/models/nan", buf.Bytes(), nil); code != 400 {
+		t.Fatalf("non-finite checkpoint upload = %d, want 400", code)
+	}
+	if code := doJSON(t, c, http.MethodGet, ts.URL+"/v1/models/nan", nil, nil); code != 404 {
+		t.Fatalf("refused model is registered: GET = %d, want 404", code)
+	}
 	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/models/m", checkpointBytes(t, g), nil); code != http.StatusCreated {
 		t.Fatalf("valid checkpoint upload after refusal = %d, want 201", code)
 	}

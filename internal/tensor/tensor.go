@@ -10,6 +10,7 @@
 package tensor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -131,7 +132,7 @@ func matMulWorkers(out, a, b *Matrix, accumulate bool, workers int) {
 		return
 	}
 	panels := (a.Rows + gemmPanelRows - 1) / gemmPanelRows
-	parallel.For(workers, panels, 1, func(_, lo, hi int) {
+	parallel.For(context.Background(), workers, panels, 1, func(_, lo, hi int) {
 		r0 := lo * gemmPanelRows
 		r1 := hi * gemmPanelRows
 		if r1 > a.Rows {

@@ -22,7 +22,7 @@
 //   - internal/dp: Gaussian/Laplace/SML mechanisms, RDP accountant, σ calibration
 //   - internal/gnn: GCN / GraphSAGE / GAT / GRAT / GIN over tape autodiff
 //   - internal/diffusion: IC / LT / SIS cascade simulation
-//   - internal/im: CELF, greedy, degree heuristics, RIS
+//   - internal/im: CELF, degree heuristics, RIS
 //   - internal/privim: the trainer, baselines, and parameter indicator
 //   - internal/expt: the benchmark harness reproducing every table/figure
 package privim
@@ -132,14 +132,14 @@ const (
 )
 
 // Train runs the configured method's full pipeline on the training graph.
-func Train(g *Graph, cfg Config) (*Result, error) { return core.Train(g, cfg) }
+func Train(g *Graph, cfg Config) (*Result, error) { return core.Train(context.Background(), g, cfg) }
 
 // TrainContext is Train under a caller context: the run's span tree
 // roots under the context's span and inherits the context's trace ID
 // (see ContextWithTrace), so every event is attributable to the request
 // that caused it.
 func TrainContext(ctx context.Context, g *Graph, cfg Config) (*Result, error) {
-	return core.TrainContext(ctx, g, cfg)
+	return core.Train(ctx, g, cfg)
 }
 
 // TrainCanceledError is the typed error TrainContext returns when its
@@ -179,29 +179,26 @@ type (
 
 // EstimateSpread Monte-Carlo-estimates the influence spread of seeds.
 func EstimateSpread(m DiffusionModel, seeds []NodeID, rounds int, seed int64) float64 {
-	return diffusion.Estimate(m, seeds, rounds, seed)
+	spread, _ := diffusion.Estimate(context.Background(), m, seeds, rounds, seed, diffusion.Options{}) // Background never cancels
+	return spread
 }
 
-// EstimateSpreadObserved is EstimateSpread with live telemetry: a
-// non-nil observer receives one MCBatchDone event for the batch.
-func EstimateSpreadObserved(m DiffusionModel, seeds []NodeID, rounds int, seed int64, o Observer) float64 {
-	return diffusion.EstimateObserved(m, seeds, rounds, seed, o)
-}
-
-// EstimateSpreadContext is EstimateSpreadObserved under a caller
-// context: cancellation is honored between simulation chunks, returning
-// a *SpreadCanceledError. A run that completes is bit-identical to
-// EstimateSpread at any worker count.
+// EstimateSpreadContext is EstimateSpread under a caller context with
+// live telemetry: a non-nil observer receives one MCBatchDone event for
+// the batch, inside a diffusion.estimate span that roots under the
+// context's span. Cancellation is honored between simulation chunks,
+// returning a *SpreadCanceledError. A run that completes is
+// bit-identical to EstimateSpread at any worker count.
 func EstimateSpreadContext(ctx context.Context, m DiffusionModel, seeds []NodeID, rounds int, seed int64, o Observer) (float64, error) {
-	return diffusion.EstimateContext(ctx, m, seeds, rounds, seed, o)
+	return diffusion.Estimate(ctx, m, seeds, rounds, seed, diffusion.Options{Obs: o})
 }
 
 // SpreadCanceledError reports a spread estimation stopped early, with
 // how many Monte-Carlo rounds had completed.
 type SpreadCanceledError = diffusion.CanceledError
 
-// SelectCanceledError reports a seed-selection solve (CELF, greedy,
-// RIS, IMM SelectContext) stopped early; Seeds holds the valid greedy
+// SelectCanceledError reports a seed-selection solve (CELF, RIS, IMM
+// SelectContext) stopped early; Seeds holds the valid greedy
 // prefix selected so far, nil when cancellation hit before the first
 // pick.
 type SelectCanceledError = im.CanceledError
@@ -371,7 +368,8 @@ func LoadModel(r io.Reader) (*Model, error) { return gnn.Load(r) }
 // the same scoring path Result.Scores uses, available without a Result.
 func ScoreModel(m *Model, g *Graph) []float64 {
 	x := tensor.FromSlice(g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(g))
-	return m.Score(g, x)
+	scores, _ := m.Score(context.Background(), g, x) // Background never cancels
+	return scores
 }
 
 // Graph metrics (Table I style structural summaries).
