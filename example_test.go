@@ -43,12 +43,13 @@ func Example() {
 
 // ExampleCELF runs the lazy-greedy ground truth on a two-hub network.
 func ExampleCELF() {
-	g := privim.NewGraphWithNodes(8, true)
+	b := privim.NewGraphBuilder(8, true)
 	for v := 1; v <= 4; v++ {
-		g.AddEdge(0, privim.NodeID(v), 1)
+		b.AddEdge(0, privim.NodeID(v), 1)
 	}
-	g.AddEdge(5, 6, 1)
-	g.AddEdge(5, 7, 1)
+	b.AddEdge(5, 6, 1)
+	b.AddEdge(5, 7, 1)
+	g := b.Build()
 
 	celf := &privim.CELF{
 		Model:    &privim.IC{G: g},
@@ -121,10 +122,11 @@ func ExampleResult_SaveModel() {
 
 // ExampleEstimateSpread evaluates a seed set under the IC model.
 func ExampleEstimateSpread() {
-	g := privim.NewGraphWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
+	b := privim.NewGraphBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 3, 1)
+	g := b.Build()
 	spread := privim.EstimateSpread(&privim.IC{G: g}, []privim.NodeID{0}, 1, 1)
 	fmt.Println(spread)
 	// Output:

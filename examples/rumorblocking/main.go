@@ -78,7 +78,7 @@ func immunize(g *graph.Graph, blocked []graph.NodeID) *graph.Graph {
 	for _, b := range blocked {
 		drop[b] = true
 	}
-	out := graph.NewWithNodes(g.NumNodes(), true)
+	out := graph.NewBuilder(g.NumNodes(), true)
 	for v := 0; v < g.NumNodes(); v++ {
 		if drop[graph.NodeID(v)] {
 			continue
@@ -87,5 +87,5 @@ func immunize(g *graph.Graph, blocked []graph.NodeID) *graph.Graph {
 			out.AddEdge(graph.NodeID(v), a.To, a.Weight)
 		}
 	}
-	return out
+	return out.Build()
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func chainGraph() *graph.Graph {
-	g := graph.NewWithNodes(3, true)
-	g.AddEdge(0, 1, 0.5)
-	g.AddEdge(1, 2, 0.25)
-	g.AddEdge(0, 2, 1)
-	return g
+	b := graph.NewBuilder(3, true)
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(1, 2, 0.25)
+	b.AddEdge(0, 2, 1)
+	return b.Build()
 }
 
 func TestInAdjacency(t *testing.T) {

@@ -56,30 +56,6 @@ func TestWattsStrogatzShape(t *testing.T) {
 	}
 }
 
-func TestErdosRenyiExactEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := ErdosRenyi(100, 250, false, rng)
-	if g.NumEdges() != 250 {
-		t.Fatalf("edges = %d, want 250", g.NumEdges())
-	}
-	gd := ErdosRenyi(50, 300, true, rng)
-	if gd.NumEdges() != 300 || !gd.Directed() {
-		t.Fatalf("directed ER: edges=%d directed=%v", gd.NumEdges(), gd.Directed())
-	}
-	// No self loops or duplicates.
-	seen := map[[2]graph.NodeID]bool{}
-	for _, e := range gd.Edges() {
-		if e.From == e.To {
-			t.Fatal("self loop in ER graph")
-		}
-		k := [2]graph.NodeID{e.From, e.To}
-		if seen[k] {
-			t.Fatalf("duplicate edge %v", k)
-		}
-		seen[k] = true
-	}
-}
-
 func TestScaleFreeDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := ScaleFreeDirected(400, 6, rng)
@@ -95,16 +71,51 @@ func TestScaleFreeDirected(t *testing.T) {
 	}
 }
 
-func TestForestFire(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := ForestFire(300, 0.35, rng)
-	if g.NumNodes() != 300 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	// Every node (beyond the first) must be connected: single component.
-	comps := graph.WeaklyConnectedComponents(g)
-	if len(comps) != 1 {
-		t.Fatalf("forest fire produced %d components, want 1", len(comps))
+// TestPresetFingerprintsPinned pins every preset's graph at two scales
+// and two seeds: each generator must be a function of its seed alone,
+// in any process and on any call.
+func TestPresetFingerprintsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		preset Preset
+		scale  float64
+		seed   int64
+		want   uint64
+	}{
+		{Email, 0.02, 1, 0xf6863452db6a8d00},
+		{Email, 0.02, 7, 0x75ab8b323fbed139},
+		{Email, 0.05, 1, 0x868dfd42b0f3c5d9},
+		{Email, 0.05, 7, 0x9b1aade2c3e26182},
+		{Bitcoin, 0.02, 1, 0x7399880663eb661a},
+		{Bitcoin, 0.02, 7, 0x56cafefe2a77c1ec},
+		{Bitcoin, 0.05, 1, 0xa73726ef4c517d58},
+		{Bitcoin, 0.05, 7, 0x2255d4e87c09bc6f},
+		{LastFM, 0.02, 1, 0x171104f7b547b09a},
+		{LastFM, 0.02, 7, 0x3edc9b00347bcab0},
+		{LastFM, 0.05, 1, 0x77e95118610b8193},
+		{LastFM, 0.05, 7, 0xb39437d90148fddd},
+		{HepPh, 0.02, 1, 0xa9c6b6e91056e192},
+		{HepPh, 0.02, 7, 0xf5b694eb8667ec06},
+		{HepPh, 0.05, 1, 0x96100f4602a73c6d},
+		{HepPh, 0.05, 7, 0x2ef668006e7f2b31},
+		{Facebook, 0.02, 1, 0x97103d7ca077ce10},
+		{Facebook, 0.02, 7, 0x4eaa97367daa9e3d},
+		{Facebook, 0.05, 1, 0xf991a2e2a2326309},
+		{Facebook, 0.05, 7, 0x919ae18d6b0c1394},
+		{Gowalla, 0.02, 1, 0xf66c175306e92ef9},
+		{Gowalla, 0.02, 7, 0x708da4e2fbe11a6a},
+		{Gowalla, 0.05, 1, 0xb9be25536f696b49},
+		{Gowalla, 0.05, 7, 0x209857b97c4133f7},
+	} {
+		for call := 0; call < 2; call++ {
+			ds, err := Generate(tc.preset, Options{Scale: tc.scale, Seed: tc.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ds.Graph.Fingerprint(); got != tc.want {
+				t.Fatalf("%s scale %v seed %d call %d: fingerprint %#016x, want %#016x",
+					tc.preset, tc.scale, tc.seed, call, got, tc.want)
+			}
+		}
 	}
 }
 
@@ -250,10 +261,11 @@ func TestTrainTestSubgraphs(t *testing.T) {
 }
 
 func TestStructuralFeatures(t *testing.T) {
-	g := graph.NewWithNodes(3, true)
-	g.AddEdge(0, 1, 0.5)
-	g.AddEdge(0, 2, 0.5)
-	g.AddEdge(1, 2, 1)
+	b := graph.NewBuilder(3, true)
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(0, 2, 0.5)
+	b.AddEdge(1, 2, 1)
+	g := b.Build()
 	x := StructuralFeatures(g)
 	if len(x) != 3*NumStructuralFeatures {
 		t.Fatalf("feature length %d, want %d", len(x), 3*NumStructuralFeatures)
@@ -284,7 +296,7 @@ func TestStructuralFeatures(t *testing.T) {
 func TestStructuralFeaturesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := ErdosRenyi(40, 80, true, rng)
+		g := ScaleFreeDirected(40, 2, rng)
 		for _, v := range StructuralFeatures(g) {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
 				return false

@@ -11,6 +11,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"privim/internal/graph"
 )
@@ -23,31 +24,33 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) *graph.Graph {
 	if m < 1 || n < m+1 {
 		panic(fmt.Sprintf("dataset: BarabasiAlbert(n=%d, m=%d) requires n > m >= 1", n, m))
 	}
-	g := graph.NewWithNodes(n, false)
+	b := graph.NewBuilder(n, false)
 	// repeated holds node IDs once per incident edge endpoint, so sampling
 	// uniformly from it implements preferential attachment.
 	repeated := make([]graph.NodeID, 0, 2*m*n)
 	// Seed clique over the first m+1 nodes.
 	for u := 0; u <= m; u++ {
 		for v := u + 1; v <= m; v++ {
-			g.AddEdge(graph.NodeID(u), graph.NodeID(v), 1)
+			b.AddEdge(graph.NodeID(u), graph.NodeID(v), 1)
 			repeated = append(repeated, graph.NodeID(u), graph.NodeID(v))
 		}
 	}
-	targets := make(map[graph.NodeID]bool, m)
+	// Each node's m distinct targets are attached in draw order, so the
+	// graph is a function of the seed alone.
+	targets := make([]graph.NodeID, 0, m)
 	for u := m + 1; u < n; u++ {
-		for k := range targets {
-			delete(targets, k)
-		}
+		targets = targets[:0]
 		for len(targets) < m {
-			targets[repeated[rng.Intn(len(repeated))]] = true
+			if v := repeated[rng.Intn(len(repeated))]; !slices.Contains(targets, v) {
+				targets = append(targets, v)
+			}
 		}
-		for v := range targets {
-			g.AddEdge(graph.NodeID(u), v, 1)
+		for _, v := range targets {
+			b.AddEdge(graph.NodeID(u), v, 1)
 			repeated = append(repeated, graph.NodeID(u), v)
 		}
 	}
-	return g
+	return b.Build()
 }
 
 // WattsStrogatz generates a small-world graph: a ring lattice over n nodes
@@ -67,71 +70,42 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *graph.Graph {
 		}
 		return key{a, b}
 	}
+	// lattice lists the edges in lattice order, a rewired edge taking its
+	// original's slot, so the graph is a function of the seed alone;
+	// edges is the membership set.
+	lattice := make([]key, 0, n*k/2)
 	edges := make(map[key]bool, n*k/2)
 	for u := 0; u < n; u++ {
 		for d := 1; d <= k/2; d++ {
-			v := (u + d) % n
-			edges[norm(graph.NodeID(u), graph.NodeID(v))] = true
+			e := norm(graph.NodeID(u), graph.NodeID((u+d)%n))
+			lattice = append(lattice, e)
+			edges[e] = true
 		}
 	}
 	// Rewire: each lattice edge (u, u+d) has its far endpoint replaced with
 	// probability beta by a uniform non-duplicate target.
-	for u := 0; u < n; u++ {
-		for d := 1; d <= k/2; d++ {
-			v := graph.NodeID((u + d) % n)
-			e := norm(graph.NodeID(u), v)
-			if !edges[e] || rng.Float64() >= beta {
+	for i, e := range lattice {
+		u := graph.NodeID(i / (k / 2))
+		if !edges[e] || rng.Float64() >= beta {
+			continue
+		}
+		// Try a few times to find a fresh endpoint; keep original on failure.
+		for try := 0; try < 16; try++ {
+			w := graph.NodeID(rng.Intn(n))
+			if w == u || edges[norm(u, w)] {
 				continue
 			}
-			// Try a few times to find a fresh endpoint; keep original on failure.
-			for try := 0; try < 16; try++ {
-				w := graph.NodeID(rng.Intn(n))
-				if w == graph.NodeID(u) || edges[norm(graph.NodeID(u), w)] {
-					continue
-				}
-				delete(edges, e)
-				edges[norm(graph.NodeID(u), w)] = true
-				break
-			}
+			delete(edges, e)
+			lattice[i] = norm(u, w)
+			edges[lattice[i]] = true
+			break
 		}
 	}
-	g := graph.NewWithNodes(n, false)
-	for e := range edges {
-		g.AddEdge(e.a, e.b, 1)
+	b := graph.NewBuilder(n, false)
+	for _, e := range lattice {
+		b.AddEdge(e.a, e.b, 1)
 	}
-	return g
-}
-
-// ErdosRenyi generates a G(n, m) random graph with exactly m distinct edges
-// (no self loops). directed controls arc semantics.
-func ErdosRenyi(n, m int, directed bool, rng *rand.Rand) *graph.Graph {
-	maxEdges := n * (n - 1)
-	if !directed {
-		maxEdges /= 2
-	}
-	if m > maxEdges {
-		panic(fmt.Sprintf("dataset: ErdosRenyi m=%d exceeds max %d for n=%d", m, maxEdges, n))
-	}
-	g := graph.NewWithNodes(n, directed)
-	seen := make(map[int64]bool, m)
-	for g.NumEdges() < m {
-		u := graph.NodeID(rng.Intn(n))
-		v := graph.NodeID(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		a, b := u, v
-		if !directed && a > b {
-			a, b = b, a
-		}
-		k := int64(a)<<32 | int64(uint32(b))
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		g.AddEdge(u, v, 1)
-	}
-	return g
+	return b.Build()
 }
 
 // ScaleFreeDirected generates a directed power-law graph with n nodes and
@@ -142,7 +116,7 @@ func ScaleFreeDirected(n, avgOut int, rng *rand.Rand) *graph.Graph {
 	if avgOut < 1 || n < 2 {
 		panic("dataset: ScaleFreeDirected requires n >= 2, avgOut >= 1")
 	}
-	g := graph.NewWithNodes(n, true)
+	b := graph.NewBuilder(n, true)
 	// in-degree attractiveness: one phantom unit per node so early nodes
 	// don't monopolize all attachment.
 	repeated := make([]graph.NodeID, 0, n*(avgOut+1))
@@ -166,53 +140,9 @@ func ScaleFreeDirected(n, avgOut int, rng *rand.Rand) *graph.Graph {
 				continue
 			}
 			used[v] = true
-			g.AddEdge(graph.NodeID(u), v, 1)
+			b.AddEdge(graph.NodeID(u), v, 1)
 			repeated = append(repeated, v)
 		}
 	}
-	return g
-}
-
-// ForestFire generates a graph by the forest-fire process: each new node
-// links to an ambassador and recursively "burns" through a geometric number
-// of the ambassador's neighbors. Produces densification and heavy tails
-// resembling citation networks. p is the forward-burning probability.
-func ForestFire(n int, p float64, rng *rand.Rand) *graph.Graph {
-	if p < 0 || p >= 1 {
-		panic("dataset: ForestFire requires p in [0,1)")
-	}
-	g := graph.NewWithNodes(n, false)
-	if n < 2 {
-		return g
-	}
-	g.AddEdge(0, 1, 1)
-	for u := 2; u < n; u++ {
-		visited := map[graph.NodeID]bool{graph.NodeID(u): true}
-		frontier := []graph.NodeID{graph.NodeID(rng.Intn(u))}
-		for len(frontier) > 0 {
-			amb := frontier[0]
-			frontier = frontier[1:]
-			if visited[amb] {
-				continue
-			}
-			visited[amb] = true
-			g.AddEdge(graph.NodeID(u), amb, 1)
-			// Burn a geometric(1-p) number of amb's neighbors.
-			burn := 0
-			for rng.Float64() < p {
-				burn++
-			}
-			nbrs := g.Out(amb)
-			for i := 0; i < burn && len(nbrs) > 0; i++ {
-				cand := nbrs[rng.Intn(len(nbrs))].To
-				if !visited[cand] {
-					frontier = append(frontier, cand)
-				}
-			}
-			if len(visited) > 1+u/2 {
-				break // cap burn size to keep generation near-linear
-			}
-		}
-	}
-	return g
+	return b.Build()
 }

@@ -23,13 +23,13 @@ import (
 func LoadSNAP(r io.Reader, directed bool) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	g := graph.New(directed)
+	b := graph.NewBuilder(0, directed)
 	ids := make(map[int64]graph.NodeID)
 	intern := func(raw int64) graph.NodeID {
 		if id, ok := ids[raw]; ok {
 			return id
 		}
-		id := g.AddNode()
+		id := b.AddNode()
 		ids[raw] = id
 		return id
 	}
@@ -60,12 +60,12 @@ func LoadSNAP(r io.Reader, directed bool) (*graph.Graph, error) {
 		if fu == fv {
 			continue // SNAP files occasionally carry self loops; drop them
 		}
-		g.AddEdge(fu, fv, 1)
+		b.AddEdge(fu, fv, 1)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return b.Build(), nil
 }
 
 // FromGraph wraps an externally loaded graph (e.g. a real SNAP dataset)

@@ -10,14 +10,14 @@ import (
 // allocTestGraph is big enough that a cascade touches many nodes, so any
 // per-round or per-simulation allocation would show up multiplied.
 func allocTestGraph() *graph.Graph {
-	g := graph.NewWithNodes(300, true)
+	b := graph.NewBuilder(300, true)
 	for i := 0; i < 299; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 0.4)
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 0.4)
 	}
 	for i := 0; i < 300; i += 7 {
-		g.AddEdge(graph.NodeID(i), graph.NodeID((i*13+5)%300), 0.6)
+		b.AddEdge(graph.NodeID(i), graph.NodeID((i*13+5)%300), 0.6)
 	}
-	return g
+	return b.Build()
 }
 
 // TestEstimateSteadyStateZeroAlloc pins serial Monte-Carlo estimation at

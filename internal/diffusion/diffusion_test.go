@@ -18,11 +18,11 @@ func estimate(m Model, seeds []graph.NodeID, rounds int, seed int64) float64 {
 }
 
 func lineGraph(n int, w float64) *graph.Graph {
-	g := graph.NewWithNodes(n, true)
+	b := graph.NewBuilder(n, true)
 	for i := 0; i < n-1; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), w)
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), w)
 	}
-	return g
+	return b.Build()
 }
 
 func TestICDeterministicWeights(t *testing.T) {
@@ -65,8 +65,9 @@ func TestICDuplicateSeeds(t *testing.T) {
 
 func TestICProbabilityMatchesExpectation(t *testing.T) {
 	// Single edge with w=0.3: E[spread from {0}] = 1.3.
-	g := graph.NewWithNodes(2, true)
-	g.AddEdge(0, 1, 0.3)
+	b := graph.NewBuilder(2, true)
+	b.AddEdge(0, 1, 0.3)
+	g := b.Build()
 	got := estimate(&IC{G: g}, []graph.NodeID{0}, 20000, 7)
 	if math.Abs(got-1.3) > 0.02 {
 		t.Fatalf("estimated spread %v, want ≈1.3", got)
@@ -76,8 +77,9 @@ func TestICProbabilityMatchesExpectation(t *testing.T) {
 func TestLTThresholds(t *testing.T) {
 	// Star into node 1: hub 0 with weight 1 always exceeds any threshold
 	// in [0,1).
-	g := graph.NewWithNodes(2, true)
-	g.AddEdge(0, 1, 1)
+	gb := graph.NewBuilder(2, true)
+	gb.AddEdge(0, 1, 1)
+	g := gb.Build()
 	lt := &LT{G: g}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 50; i++ {
@@ -86,8 +88,9 @@ func TestLTThresholds(t *testing.T) {
 		}
 	}
 	// Weight 0 never activates.
-	g0 := graph.NewWithNodes(2, true)
-	g0.AddEdge(0, 1, 0)
+	b := graph.NewBuilder(2, true)
+	b.AddEdge(0, 1, 0)
+	g0 := b.Build()
 	lt0 := &LT{G: g0}
 	if got := lt0.Simulate([]graph.NodeID{0}, rng); got != 1 {
 		t.Fatalf("LT with weight 0: spread %d, want 1", got)
@@ -96,9 +99,10 @@ func TestLTThresholds(t *testing.T) {
 
 func TestLTAccumulation(t *testing.T) {
 	// Two in-neighbors each with weight 0.5 always sum to 1.0 >= threshold.
-	g := graph.NewWithNodes(3, true)
-	g.AddEdge(0, 2, 0.5)
-	g.AddEdge(1, 2, 0.5)
+	b := graph.NewBuilder(3, true)
+	b.AddEdge(0, 2, 0.5)
+	b.AddEdge(1, 2, 0.5)
+	g := b.Build()
 	lt := &LT{G: g}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
@@ -163,13 +167,14 @@ func TestEstimatePanics(t *testing.T) {
 func TestICSpreadBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := graph.NewWithNodes(30, true)
+		b := graph.NewBuilder(30, true)
 		for i := 0; i < 90; i++ {
 			u, v := graph.NodeID(rng.Intn(30)), graph.NodeID(rng.Intn(30))
 			if u != v {
-				g.AddEdge(u, v, rng.Float64())
+				b.AddEdge(u, v, rng.Float64())
 			}
 		}
+		g := b.Build()
 		seeds := []graph.NodeID{graph.NodeID(rng.Intn(30)), graph.NodeID(rng.Intn(30))}
 		unique := map[graph.NodeID]bool{seeds[0]: true, seeds[1]: true}
 		got := (&IC{G: g}).Simulate(seeds, rng)
@@ -184,13 +189,14 @@ func TestICSpreadBoundsProperty(t *testing.T) {
 // expected spread.
 func TestICMonotoneInSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := graph.NewWithNodes(40, true)
+	b := graph.NewBuilder(40, true)
 	for i := 0; i < 150; i++ {
 		u, v := graph.NodeID(rng.Intn(40)), graph.NodeID(rng.Intn(40))
 		if u != v {
-			g.AddEdge(u, v, 0.2)
+			b.AddEdge(u, v, 0.2)
 		}
 	}
+	g := b.Build()
 	small := estimate(&IC{G: g}, []graph.NodeID{1}, 3000, 5)
 	big := estimate(&IC{G: g}, []graph.NodeID{1, 2, 3}, 3000, 5)
 	if big < small {

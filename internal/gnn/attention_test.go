@@ -59,7 +59,7 @@ func chainForward(m *Model, tp *autodiff.Tape, bound []*autodiff.Node, g *graph.
 // messyGraph is a random directed graph whose last quarter of nodes is
 // isolated, with self-arcs and parallel arcs among the rest.
 func messyGraph(n, arcs int, rng *rand.Rand) *graph.Graph {
-	g := graph.NewWithNodes(n, true)
+	b := graph.NewBuilder(n, true)
 	live := n - n/4
 	for i := 0; i < arcs; i++ {
 		u := graph.NodeID(rng.Intn(live))
@@ -68,11 +68,11 @@ func messyGraph(n, arcs int, rng *rand.Rand) *graph.Graph {
 		case 0:
 			v = u // self-arc
 		case 1:
-			g.AddEdge(u, v, rng.Float64()) // parallel arc
+			b.AddEdge(u, v, rng.Float64()) // parallel arc
 		}
-		g.AddEdge(u, v, rng.Float64())
+		b.AddEdge(u, v, rng.Float64())
 	}
-	return g
+	return b.Build()
 }
 
 // lossAndGrads runs forward, IMLoss and backward, and returns the scores,

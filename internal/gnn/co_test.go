@@ -83,13 +83,14 @@ func TestMaxCoverLossGradCheck(t *testing.T) {
 
 func TestGreedyMaxCover(t *testing.T) {
 	// Two stars: greedy must pick both hubs.
-	g := graph.NewWithNodes(10, true)
+	b := graph.NewBuilder(10, true)
 	for v := 1; v <= 5; v++ {
-		g.AddEdge(0, graph.NodeID(v), 1)
+		b.AddEdge(0, graph.NodeID(v), 1)
 	}
 	for v := 7; v <= 9; v++ {
-		g.AddEdge(6, graph.NodeID(v), 1)
+		b.AddEdge(6, graph.NodeID(v), 1)
 	}
+	g := b.Build()
 	chosen := GreedyMaxCover(g, 2)
 	if len(chosen) != 2 || chosen[0] != 0 || chosen[1] != 6 {
 		t.Fatalf("greedy chose %v, want [0 6]", chosen)
@@ -106,8 +107,9 @@ func TestGreedyMaxCover(t *testing.T) {
 
 func TestMaxCutLoss(t *testing.T) {
 	// Single edge: best split puts endpoints on opposite sides.
-	g := graph.NewWithNodes(2, true)
-	g.AddEdge(0, 1, 1)
+	gb := graph.NewBuilder(2, true)
+	gb.AddEdge(0, 1, 1)
+	g := gb.Build()
 	tp := autodiff.NewTape()
 	x := tp.Leaf(tensor.FromSlice(2, 1, []float64{1, 0}))
 	l := MaxCutLoss(tp, g, x)
@@ -123,7 +125,7 @@ func TestMaxCutLoss(t *testing.T) {
 	}
 	// Edgeless graph: zero loss, no panic.
 	tp3 := autodiff.NewTape()
-	empty := graph.NewWithNodes(3, true)
+	empty := graph.NewBuilder(3, true).Build()
 	z := tp3.Leaf(tensor.New(3, 1))
 	if MaxCutLoss(tp3, empty, z).Value.Data[0] != 0 {
 		t.Fatal("edgeless cut loss should be 0")
@@ -131,10 +133,11 @@ func TestMaxCutLoss(t *testing.T) {
 }
 
 func TestCutValue(t *testing.T) {
-	g := graph.NewWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
+	b := graph.NewBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 3, 1)
+	g := b.Build()
 	if got := CutValue(g, []bool{true, false, true, false}); got != 3 {
 		t.Fatalf("alternating cut = %d, want 3", got)
 	}
@@ -147,12 +150,13 @@ func TestCutValue(t *testing.T) {
 // large cut.
 func TestMaxCutTraining(t *testing.T) {
 	// Complete bipartite K3,3: max cut = 9 with the bipartition.
-	g := graph.NewWithNodes(6, false)
+	b := graph.NewBuilder(6, false)
 	for u := 0; u < 3; u++ {
 		for v := 3; v < 6; v++ {
-			g.AddEdge(graph.NodeID(u), graph.NodeID(v), 1)
+			b.AddEdge(graph.NodeID(u), graph.NodeID(v), 1)
 		}
 	}
+	g := b.Build()
 	rng := rand.New(rand.NewSource(6))
 	m, err := New(Config{Kind: GCN, InputDim: 2, HiddenDim: 8, Layers: 2})
 	if err != nil {

@@ -20,12 +20,12 @@ func score(m *Model, g *graph.Graph, x *tensor.Matrix) []float64 {
 
 // tinyGraph: star with hub 0 pointing at 1..4, plus a back edge.
 func tinyGraph() *graph.Graph {
-	g := graph.NewWithNodes(5, true)
+	b := graph.NewBuilder(5, true)
 	for v := 1; v < 5; v++ {
-		g.AddEdge(0, graph.NodeID(v), 1)
+		b.AddEdge(0, graph.NodeID(v), 1)
 	}
-	g.AddEdge(1, 0, 0.5)
-	return g
+	b.AddEdge(1, 0, 0.5)
+	return b.Build()
 }
 
 func tinyFeatures(g *graph.Graph, dim int, rng *rand.Rand) *tensor.Matrix {

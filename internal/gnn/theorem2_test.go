@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"privim/internal/dataset"
 	"privim/internal/graph"
 )
 
@@ -17,12 +16,15 @@ import (
 func TestTheorem2BooleBoundHolds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := dataset.ErdosRenyi(25, 80, true, rng)
-		// Re-draw with random influence weights; activations in [0,1].
-		gw := graph.NewWithNodes(25, true)
-		for _, e := range g.Edges() {
-			gw.AddEdge(e.From, e.To, rng.Float64())
+		// A random multigraph with random influence weights; activations
+		// in [0,1].
+		b := graph.NewBuilder(25, true)
+		for i := 0; i < 80; i++ {
+			if u, v := graph.NodeID(rng.Intn(25)), graph.NodeID(rng.Intn(25)); u != v {
+				b.AddEdge(u, v, rng.Float64())
+			}
 		}
+		gw := b.Build()
 		active := make([]float64, 25)
 		for i := range active {
 			active[i] = rng.Float64()
@@ -43,8 +45,9 @@ func TestTheorem2BooleBoundHolds(t *testing.T) {
 
 func TestTheorem2BoundTightForSingleNeighbor(t *testing.T) {
 	// With one in-neighbor the Boole bound is exact: Σ = 1 − (1 − w·x).
-	g := graph.NewWithNodes(2, true)
-	g.AddEdge(0, 1, 0.35)
+	b := graph.NewBuilder(2, true)
+	b.AddEdge(0, 1, 0.35)
+	g := b.Build()
 	active := []float64{0.8, 0}
 	bound := BooleActivationBound(g, active)
 	exact := ExactOneStepActivation(g, active)
@@ -58,10 +61,11 @@ func TestTheorem2BoundTightForSingleNeighbor(t *testing.T) {
 
 func TestTheorem2BoundClampsAtOne(t *testing.T) {
 	// Many strong in-neighbors: the sum exceeds 1 and must clamp.
-	g := graph.NewWithNodes(4, true)
+	b := graph.NewBuilder(4, true)
 	for v := 1; v < 4; v++ {
-		g.AddEdge(graph.NodeID(v), 0, 0.9)
+		b.AddEdge(graph.NodeID(v), 0, 0.9)
 	}
+	g := b.Build()
 	active := []float64{0, 1, 1, 1}
 	bound := BooleActivationBound(g, active)
 	if bound[0] != 1 {
@@ -74,7 +78,7 @@ func TestTheorem2BoundClampsAtOne(t *testing.T) {
 }
 
 func TestBooleBoundValidation(t *testing.T) {
-	g := graph.NewWithNodes(3, true)
+	g := graph.NewBuilder(3, true).Build()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for wrong activation length")

@@ -7,60 +7,56 @@ import (
 )
 
 func TestFingerprintDeterministic(t *testing.T) {
-	build := func() *Graph {
-		g := NewWithNodes(5, true)
-		g.AddEdge(0, 1, 0.5)
-		g.AddEdge(1, 2, 0.25)
-		g.AddEdge(2, 3, 1)
-		g.AddEdge(4, 0, 0.125)
-		return g
-	}
-	a, b := build(), build()
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("identical graphs fingerprint differently: %x vs %x", a.Fingerprint(), b.Fingerprint())
-	}
-	if got, want := a.Fingerprint(), a.Clone().Fingerprint(); got != want {
-		t.Fatalf("clone fingerprint %x != original %x", want, got)
+	b := NewBuilder(5, true)
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(1, 2, 0.25)
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(4, 0, 0.125)
+	// Build leaves the builder unchanged, so two builds are two identical
+	// graphs.
+	x, y := b.Build(), b.Build()
+	if x.Fingerprint() != y.Fingerprint() {
+		t.Fatalf("identical graphs fingerprint differently: %x vs %x", x.Fingerprint(), y.Fingerprint())
 	}
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	base := NewWithNodes(4, true)
-	base.AddEdge(0, 1, 0.5)
-	base.AddEdge(1, 2, 0.5)
-	fp := base.Fingerprint()
+	base := func(directed bool) *Builder {
+		b := NewBuilder(4, directed)
+		b.AddEdge(0, 1, 0.5)
+		b.AddEdge(1, 2, 0.5)
+		return b
+	}
+	fp := base(true).Build().Fingerprint()
 
 	// Changed weight.
-	w := base.Clone()
-	w.out[0][0].Weight = 0.75
+	w := base(true).Build()
+	w.out.arcs[0].Weight = 0.75
 	if w.Fingerprint() == fp {
 		t.Fatal("weight change did not change fingerprint")
 	}
 
 	// Extra edge.
-	e := base.Clone()
+	e := base(true)
 	e.AddEdge(2, 3, 0.5)
-	if e.Fingerprint() == fp {
+	if e.Build().Fingerprint() == fp {
 		t.Fatal("edge addition did not change fingerprint")
 	}
 
 	// Extra isolated node.
-	n := base.Clone()
+	n := base(true)
 	n.AddNode()
-	if n.Fingerprint() == fp {
+	if n.Build().Fingerprint() == fp {
 		t.Fatal("node addition did not change fingerprint")
 	}
 
 	// Directedness flag.
-	u := NewWithNodes(4, false)
-	u.AddEdge(0, 1, 0.5)
-	u.AddEdge(1, 2, 0.5)
-	if u.Fingerprint() == fp {
+	if base(false).Build().Fingerprint() == fp {
 		t.Fatal("undirected graph fingerprints like the directed one")
 	}
 
 	// Empty graphs still distinguish directedness.
-	if New(true).Fingerprint() == New(false).Fingerprint() {
+	if NewBuilder(0, true).Build().Fingerprint() == NewBuilder(0, false).Build().Fingerprint() {
 		t.Fatal("empty directed and undirected graphs collide")
 	}
 }
@@ -91,16 +87,19 @@ func TestFingerprintNodeIDFolding(t *testing.T) {
 // TestFingerprintSignedZeroWeights: weights hash by IEEE bit pattern, so
 // +0 and -0 are distinct — Float64bits, not ==, decides equality.
 func TestFingerprintSignedZeroWeights(t *testing.T) {
-	pos := NewWithNodes(2, true)
-	pos.AddEdge(0, 1, 0)
-	neg := NewWithNodes(2, true)
-	neg.AddEdge(0, 1, math.Copysign(0, -1))
+	posb := NewBuilder(2, true)
+	posb.AddEdge(0, 1, 0)
+	pos := posb.Build()
+	negb := NewBuilder(2, true)
+	negb.AddEdge(0, 1, math.Copysign(0, -1))
+	neg := negb.Build()
 	if pos.Fingerprint() == neg.Fingerprint() {
 		t.Fatal("+0 and -0 edge weights fingerprint identically")
 	}
 	// Sanity: both still differ from a nonzero weight.
-	nz := NewWithNodes(2, true)
-	nz.AddEdge(0, 1, 0.5)
+	b := NewBuilder(2, true)
+	b.AddEdge(0, 1, 0.5)
+	nz := b.Build()
 	if pos.Fingerprint() == nz.Fingerprint() || neg.Fingerprint() == nz.Fingerprint() {
 		t.Fatal("zero and nonzero weights collide")
 	}
@@ -111,11 +110,12 @@ func TestFingerprintSignedZeroWeights(t *testing.T) {
 // folding) fails loudly — checkpoint compatibility and the serving
 // layer's content addresses both ride on this value being stable.
 func TestFingerprintGolden(t *testing.T) {
-	g := NewWithNodes(5, true)
-	g.AddEdge(0, 1, 0.5)
-	g.AddEdge(1, 2, 0.25)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(4, 0, 0.125)
+	b := NewBuilder(5, true)
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(1, 2, 0.25)
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(4, 0, 0.125)
+	g := b.Build()
 	const want = uint64(0x2f417cd2d90864a2)
 	if got := g.Fingerprint(); got != want {
 		t.Fatalf("golden fingerprint changed: got %#016x, want %#016x", got, want)
@@ -123,10 +123,11 @@ func TestFingerprintGolden(t *testing.T) {
 }
 
 func TestFingerprintEdgeListRoundTrip(t *testing.T) {
-	g := NewWithNodes(6, true)
-	g.AddEdge(0, 1, 0.5)
-	g.AddEdge(1, 2, 0.0625)
-	g.AddEdge(5, 0, 1)
+	b := NewBuilder(6, true)
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(1, 2, 0.0625)
+	b.AddEdge(5, 0, 1)
+	g := b.Build()
 
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, g); err != nil {

@@ -8,9 +8,10 @@ import (
 )
 
 func TestAddEdgeDirected(t *testing.T) {
-	g := NewWithNodes(3, true)
-	g.AddEdge(0, 1, 0.5)
-	g.AddEdge(1, 2, 0.25)
+	b := NewBuilder(3, true)
+	b.AddEdge(0, 1, 0.5)
+	b.AddEdge(1, 2, 0.25)
+	g := b.Build()
 
 	if got := g.NumEdges(); got != 2 {
 		t.Fatalf("NumEdges = %d, want 2", got)
@@ -27,8 +28,9 @@ func TestAddEdgeDirected(t *testing.T) {
 }
 
 func TestAddEdgeUndirected(t *testing.T) {
-	g := NewWithNodes(3, false)
-	g.AddEdge(0, 1, 1)
+	b := NewBuilder(3, false)
+	b.AddEdge(0, 1, 1)
+	g := b.Build()
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Fatal("undirected edge must be traversable both ways")
 	}
@@ -41,15 +43,15 @@ func TestAddEdgeUndirected(t *testing.T) {
 }
 
 func TestAddEdgePanics(t *testing.T) {
-	g := NewWithNodes(2, true)
+	b := NewBuilder(2, true)
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"out of range", func() { g.AddEdge(0, 5, 1) }},
-		{"negative node", func() { g.AddEdge(-1, 0, 1) }},
-		{"weight > 1", func() { g.AddEdge(0, 1, 1.5) }},
-		{"negative weight", func() { g.AddEdge(0, 1, -0.1) }},
+		{"out of range", func() { b.AddEdge(0, 5, 1) }},
+		{"negative node", func() { b.AddEdge(-1, 0, 1) }},
+		{"weight > 1", func() { b.AddEdge(0, 1, 1.5) }},
+		{"negative weight", func() { b.AddEdge(0, 1, -0.1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -62,23 +64,11 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := NewWithNodes(2, true)
-	g.AddEdge(0, 1, 0.3)
-	c := g.Clone()
-	c.AddEdge(1, 0, 0.7)
-	if g.HasEdge(1, 0) {
-		t.Fatal("mutating clone affected original")
-	}
-	if c.NumEdges() != 2 || g.NumEdges() != 1 {
-		t.Fatalf("edge counts: clone=%d orig=%d", c.NumEdges(), g.NumEdges())
-	}
-}
-
 func TestSetUniformWeights(t *testing.T) {
-	g := NewWithNodes(3, true)
-	g.AddEdge(0, 1, 0.2)
-	g.AddEdge(1, 2, 0.9)
+	b := NewBuilder(3, true)
+	b.AddEdge(0, 1, 0.2)
+	b.AddEdge(1, 2, 0.9)
+	g := b.Build()
 	g.SetUniformWeights(1)
 	for _, e := range g.Edges() {
 		if e.Weight != 1 {
@@ -94,11 +84,12 @@ func TestSetUniformWeights(t *testing.T) {
 }
 
 func TestSetWeightedCascade(t *testing.T) {
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 3, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 0, 1)
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 3, 1)
+	b.AddEdge(1, 3, 1)
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(3, 0, 1)
+	g := b.Build()
 	g.SetWeightedCascade()
 	if w, _ := g.Weight(0, 3); w != 1.0/3 {
 		t.Fatalf("w(0,3) = %v, want 1/3", w)
@@ -109,11 +100,12 @@ func TestSetWeightedCascade(t *testing.T) {
 }
 
 func TestComputeStats(t *testing.T) {
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(0, 3, 1)
-	g.AddEdge(1, 3, 1)
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(0, 2, 1)
+	b.AddEdge(0, 3, 1)
+	b.AddEdge(1, 3, 1)
+	g := b.Build()
 	s := g.ComputeStats()
 	if s.Nodes != 4 || s.Edges != 4 {
 		t.Fatalf("stats %+v: want 4 nodes 4 edges", s)
@@ -128,13 +120,14 @@ func TestComputeStats(t *testing.T) {
 
 func TestProjectInDegreeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := NewWithNodes(50, true)
+	b := NewBuilder(50, true)
 	for u := 0; u < 49; u++ {
-		g.AddEdge(NodeID(u), 49, 1) // node 49 has in-degree 49
+		b.AddEdge(NodeID(u), 49, 1) // node 49 has in-degree 49
 		if u > 0 {
-			g.AddEdge(NodeID(u), NodeID(u-1), 0.5)
+			b.AddEdge(NodeID(u), NodeID(u-1), 0.5)
 		}
 	}
+	g := b.Build()
 	const theta = 5
 	p := ProjectInDegree(g, theta, rng)
 	for v := 0; v < p.NumNodes(); v++ {
@@ -157,9 +150,10 @@ func TestProjectInDegreeBound(t *testing.T) {
 
 func TestProjectInDegreePreservesSmallNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 1, 0.4)
-	g.AddEdge(2, 3, 0.6)
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 1, 0.4)
+	b.AddEdge(2, 3, 0.6)
+	g := b.Build()
 	p := ProjectInDegree(g, 10, rng)
 	if p.NumEdges() != 2 || !p.HasEdge(0, 1) || !p.HasEdge(2, 3) {
 		t.Fatalf("projection with large theta should be identity, got %v", p)
@@ -172,11 +166,12 @@ func TestProjectInDegreeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		theta := int(rawTheta%8) + 1
 		n := 30
-		g := NewWithNodes(n, true)
+		b := NewBuilder(n, true)
 		for i := 0; i < 120; i++ {
 			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			g.AddEdge(u, v, rng.Float64())
+			b.AddEdge(u, v, rng.Float64())
 		}
+		g := b.Build()
 		p := ProjectInDegree(g, theta, rng)
 		for v := 0; v < n; v++ {
 			if p.InDegree(NodeID(v)) > theta {
@@ -218,12 +213,13 @@ func TestMaxOccurrenceSaturates(t *testing.T) {
 }
 
 func TestInduce(t *testing.T) {
-	g := NewWithNodes(5, true)
-	g.AddEdge(0, 1, 0.1)
-	g.AddEdge(1, 2, 0.2)
-	g.AddEdge(2, 3, 0.3)
-	g.AddEdge(3, 0, 0.4)
-	g.AddEdge(4, 0, 0.5)
+	b := NewBuilder(5, true)
+	b.AddEdge(0, 1, 0.1)
+	b.AddEdge(1, 2, 0.2)
+	b.AddEdge(2, 3, 0.3)
+	b.AddEdge(3, 0, 0.4)
+	b.AddEdge(4, 0, 0.5)
+	g := b.Build()
 
 	sub := Induce(g, []NodeID{2, 0, 1, 2}) // duplicate 2 ignored
 	if sub.G.NumNodes() != 3 {
@@ -248,10 +244,11 @@ func TestInduce(t *testing.T) {
 }
 
 func TestRemoveNodes(t *testing.T) {
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 3, 1)
+	g := b.Build()
 	out, keep := RemoveNodes(g, map[NodeID]bool{1: true})
 	if out.NumNodes() != 3 {
 		t.Fatalf("nodes after removal = %d, want 3", out.NumNodes())
@@ -265,29 +262,13 @@ func TestRemoveNodes(t *testing.T) {
 	}
 }
 
-func TestRHopNeighborhood(t *testing.T) {
-	g := NewWithNodes(5, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 4, 1)
-	for r, want := range map[int]int{0: 1, 1: 2, 2: 3, 4: 5} {
-		got := RHopNeighborhood(g, 0, r)
-		if len(got) != want {
-			t.Errorf("r=%d: |N_r| = %d, want %d", r, len(got), want)
-		}
-		if !got[0] {
-			t.Errorf("r=%d: N_r must contain the start node", r)
-		}
-	}
-}
-
 func TestBFSOrder(t *testing.T) {
-	g := NewWithNodes(6, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(2, 4, 1)
+	b := NewBuilder(6, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(0, 2, 1)
+	b.AddEdge(1, 3, 1)
+	b.AddEdge(2, 4, 1)
+	g := b.Build()
 	order := BFSOrder(g, 0, 0)
 	if len(order) != 5 {
 		t.Fatalf("BFS reached %d nodes, want 5 (node 5 isolated)", len(order))
@@ -302,11 +283,12 @@ func TestBFSOrder(t *testing.T) {
 }
 
 func TestBFSOrderDepth(t *testing.T) {
-	g := NewWithNodes(6, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(0, 4, 1)
+	b := NewBuilder(6, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(0, 4, 1)
+	g := b.Build()
 	for depth, want := range map[int]int{0: 1, 1: 3, 2: 4, 5: 5} {
 		if got := BFSOrderDepth(g, 0, depth); len(got) != want {
 			t.Errorf("depth %d: reached %d nodes, want %d", depth, len(got), want)
@@ -318,10 +300,11 @@ func TestBFSOrderDepth(t *testing.T) {
 }
 
 func TestWeaklyConnectedComponents(t *testing.T) {
-	g := NewWithNodes(7, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 1, 1) // weakly connects 2 to {0,1}
-	g.AddEdge(3, 4, 1)
+	b := NewBuilder(7, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(2, 1, 1) // weakly connects 2 to {0,1}
+	b.AddEdge(3, 4, 1)
+	g := b.Build()
 	// 5, 6 isolated
 	comps := WeaklyConnectedComponents(g)
 	if len(comps) != 4 {
@@ -330,35 +313,14 @@ func TestWeaklyConnectedComponents(t *testing.T) {
 	if len(comps[0]) != 3 || len(comps[1]) != 2 {
 		t.Fatalf("component sizes %d,%d want 3,2 (largest first)", len(comps[0]), len(comps[1]))
 	}
-	lc := LargestComponent(g)
-	if lc.G.NumNodes() != 3 {
-		t.Fatalf("largest component has %d nodes, want 3", lc.G.NumNodes())
-	}
-}
-
-func TestSimplify(t *testing.T) {
-	g := NewWithNodes(3, true)
-	g.AddEdge(0, 1, 0.2)
-	g.AddEdge(0, 1, 0.8) // parallel, keep max
-	g.AddEdge(1, 1, 1.0) // self loop, drop
-	g.AddEdge(1, 2, 0.5)
-	s := g.Simplify()
-	if s.NumEdges() != 2 {
-		t.Fatalf("simplified edges = %d, want 2", s.NumEdges())
-	}
-	if w, _ := s.Weight(0, 1); w != 0.8 {
-		t.Fatalf("parallel merge kept weight %v, want max 0.8", w)
-	}
-	if s.HasEdge(1, 1) {
-		t.Fatal("self loop survived Simplify")
-	}
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 1, 0.25)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 0, 0.125)
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 1, 0.25)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(3, 0, 0.125)
+	g := b.Build()
 
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, g); err != nil {

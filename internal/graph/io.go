@@ -29,13 +29,29 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// maxID bounds every node ID and nodes= count the parser accepts: IDs at
+// or above it could not be NodeIDs of a graph whose node count fits an
+// int32.
+const maxID = math.MaxInt32
+
 // ReadEdgeList parses the format produced by WriteEdgeList. Lines starting
 // with '#' other than the header are ignored; the weight column is optional
 // and defaults to 1.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
+	b, err := ParseEdgeList(r)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
+}
+
+// ParseEdgeList parses like ReadEdgeList but returns the filled Builder,
+// so a caller can bound NumNodes before Build allocates per-node arrays.
+// It rejects any node ID or nodes= value of 2³¹−1 or more.
+func ParseEdgeList(r io.Reader) (*Builder, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var g *Graph
+	var b *Builder
 	nodes, directed := 0, true
 	lineNo := 0
 	for sc.Scan() {
@@ -49,8 +65,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				for _, tok := range strings.Fields(line) {
 					if v, ok := strings.CutPrefix(tok, "nodes="); ok {
 						n, err := strconv.Atoi(v)
-						if err != nil {
-							return nil, fmt.Errorf("graph: line %d: bad nodes=%q", lineNo, v)
+						if err != nil || n < 0 || n >= maxID {
+							return nil, fmt.Errorf("graph: line %d: bad nodes=%q (want [0,%d))", lineNo, v, maxID)
 						}
 						nodes = n
 					}
@@ -61,19 +77,19 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			}
 			continue
 		}
-		if g == nil {
-			g = NewWithNodes(nodes, directed)
+		if b == nil {
+			b = NewBuilder(nodes, directed)
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", lineNo, line)
 		}
 		u, err := strconv.Atoi(fields[0])
-		if err != nil || u < 0 {
+		if err != nil || u < 0 || u >= maxID {
 			return nil, fmt.Errorf("graph: line %d: bad source %q", lineNo, fields[0])
 		}
 		v, err := strconv.Atoi(fields[1])
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || v >= maxID {
 			return nil, fmt.Errorf("graph: line %d: bad target %q", lineNo, fields[1])
 		}
 		w := 1.0
@@ -83,19 +99,14 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q (want [0,1])", lineNo, fields[2])
 			}
 		}
-		if max := u; true {
-			if v > max {
-				max = v
-			}
-			g.EnsureNodes(max + 1)
-		}
-		g.AddEdge(NodeID(u), NodeID(v), w)
+		b.n = max(b.n, u+1, v+1)
+		b.AddEdge(NodeID(u), NodeID(v), w)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g == nil {
-		g = NewWithNodes(nodes, directed)
+	if b == nil {
+		b = NewBuilder(nodes, directed)
 	}
-	return g, nil
+	return b, nil
 }

@@ -8,10 +8,11 @@ import (
 )
 
 func TestDegreeHistogram(t *testing.T) {
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(1, 2, 1)
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(0, 2, 1)
+	b.AddEdge(1, 2, 1)
+	g := b.Build()
 	hist := DegreeHistogram(g)
 	// deg 0: nodes 2, 3; deg 1: node 1; deg 2: node 0.
 	want := []int{2, 1, 1}
@@ -27,21 +28,23 @@ func TestDegreeHistogram(t *testing.T) {
 
 func TestClusteringCoefficientTriangle(t *testing.T) {
 	// Complete triangle: every node's two neighbors are connected, C = 1.
-	g := NewWithNodes(3, false)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 2, 1)
+	gb := NewBuilder(3, false)
+	gb.AddEdge(0, 1, 1)
+	gb.AddEdge(1, 2, 1)
+	gb.AddEdge(0, 2, 1)
+	g := gb.Build()
 	if c := ClusteringCoefficient(g); math.Abs(c-1) > 1e-12 {
 		t.Fatalf("triangle clustering = %v, want 1", c)
 	}
 	// Path: middle node's neighbors not connected, C = 0.
-	p := NewWithNodes(3, false)
-	p.AddEdge(0, 1, 1)
-	p.AddEdge(1, 2, 1)
+	b := NewBuilder(3, false)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	p := b.Build()
 	if c := ClusteringCoefficient(p); c != 0 {
 		t.Fatalf("path clustering = %v, want 0", c)
 	}
-	if ClusteringCoefficient(New(false)) != 0 {
+	if ClusteringCoefficient(NewBuilder(0, false).Build()) != 0 {
 		t.Fatal("empty graph clustering should be 0")
 	}
 }
@@ -51,11 +54,12 @@ func TestClusteringDistinguishesWSFromER(t *testing.T) {
 	// property that motivates the Facebook preset's WS model.
 	// Ring lattice (WS beta=0): k=4 lattice has C = 0.5.
 	n := 100
-	ws := NewWithNodes(n, false)
+	b := NewBuilder(n, false)
 	for u := 0; u < n; u++ {
-		ws.AddEdge(NodeID(u), NodeID((u+1)%n), 1)
-		ws.AddEdge(NodeID(u), NodeID((u+2)%n), 1)
+		b.AddEdge(NodeID(u), NodeID((u+1)%n), 1)
+		b.AddEdge(NodeID(u), NodeID((u+2)%n), 1)
 	}
+	ws := b.Build()
 	cWS := ClusteringCoefficient(ws)
 	if math.Abs(cWS-0.5) > 1e-9 {
 		t.Fatalf("lattice clustering = %v, want 0.5", cWS)
@@ -63,18 +67,20 @@ func TestClusteringDistinguishesWSFromER(t *testing.T) {
 }
 
 func TestReciprocity(t *testing.T) {
-	g := NewWithNodes(3, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 0, 1) // reciprocated pair
-	g.AddEdge(1, 2, 1) // one-way
+	gb := NewBuilder(3, true)
+	gb.AddEdge(0, 1, 1)
+	gb.AddEdge(1, 0, 1) // reciprocated pair
+	gb.AddEdge(1, 2, 1) // one-way
+	g := gb.Build()
 	if r := Reciprocity(g); math.Abs(r-2.0/3) > 1e-12 {
 		t.Fatalf("reciprocity = %v, want 2/3", r)
 	}
-	if Reciprocity(New(true)) != 0 {
+	if Reciprocity(NewBuilder(0, true).Build()) != 0 {
 		t.Fatal("edgeless reciprocity should be 0")
 	}
-	u := NewWithNodes(2, false)
-	u.AddEdge(0, 1, 1)
+	b := NewBuilder(2, false)
+	b.AddEdge(0, 1, 1)
+	u := b.Build()
 	if Reciprocity(u) != 1 {
 		t.Fatal("undirected reciprocity should be 1")
 	}
@@ -82,13 +88,14 @@ func TestReciprocity(t *testing.T) {
 
 func TestKCoreKnownGraphs(t *testing.T) {
 	// K4 plus a pendant: K4 nodes have core 3, pendant core 1.
-	g := NewWithNodes(5, false)
+	b := NewBuilder(5, false)
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
-			g.AddEdge(NodeID(i), NodeID(j), 1)
+			b.AddEdge(NodeID(i), NodeID(j), 1)
 		}
 	}
-	g.AddEdge(0, 4, 1)
+	b.AddEdge(0, 4, 1)
+	g := b.Build()
 	core := KCore(g)
 	for v := 0; v < 4; v++ {
 		if core[v] != 3 {
@@ -105,10 +112,11 @@ func TestKCoreKnownGraphs(t *testing.T) {
 
 func TestKCoreStar(t *testing.T) {
 	// Star K1,5: every node (including the hub) has core 1.
-	g := NewWithNodes(6, false)
+	b := NewBuilder(6, false)
 	for v := 1; v < 6; v++ {
-		g.AddEdge(0, NodeID(v), 1)
+		b.AddEdge(0, NodeID(v), 1)
 	}
+	g := b.Build()
 	for v, c := range KCore(g) {
 		if c != 1 {
 			t.Fatalf("star node %d core = %d, want 1", v, c)
@@ -117,10 +125,10 @@ func TestKCoreStar(t *testing.T) {
 }
 
 func TestKCoreEmptyAndIsolated(t *testing.T) {
-	if len(KCore(New(false))) != 0 {
+	if len(KCore(NewBuilder(0, false).Build())) != 0 {
 		t.Fatal("empty graph should have no cores")
 	}
-	g := NewWithNodes(3, true)
+	g := NewBuilder(3, true).Build()
 	for _, c := range KCore(g) {
 		if c != 0 {
 			t.Fatalf("isolated nodes must have core 0, got %v", KCore(g))
@@ -138,13 +146,16 @@ func TestKCoreProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 30
-		g := NewWithNodes(n, false)
+		b := NewBuilder(n, false)
+		seen := map[[2]NodeID]bool{}
 		for i := 0; i < 60; i++ {
 			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			if u != v && !g.HasEdge(u, v) {
-				g.AddEdge(u, v, 1)
+			if k := [2]NodeID{min(u, v), max(u, v)}; u != v && !seen[k] {
+				seen[k] = true
+				b.AddEdge(u, v, 1)
 			}
 		}
+		g := b.Build()
 		core := KCore(g)
 		weakDeg := func(v NodeID, members map[NodeID]bool) int {
 			seen := map[NodeID]bool{}

@@ -17,7 +17,7 @@ func ProjectInDegree(g *Graph, theta int, rng *rand.Rand) *Graph {
 		panic("graph: ProjectInDegree requires theta >= 1")
 	}
 	n := g.NumNodes()
-	p := NewWithNodes(n, true)
+	p := NewBuilder(n, true)
 	// For each target node v choose up to theta incoming arcs.
 	for v := 0; v < n; v++ {
 		in := g.In(NodeID(v))
@@ -34,7 +34,7 @@ func ProjectInDegree(g *Graph, theta int, rng *rand.Rand) *Graph {
 			p.AddEdge(in[i].To, NodeID(v), in[i].Weight)
 		}
 	}
-	return p
+	return p.Build()
 }
 
 // MaxOccurrence returns N_g from Lemma 1: the worst-case number of times a

@@ -98,7 +98,7 @@ func Condensation(g *Graph) (dag *Graph, comp []int32, comps [][]NodeID) {
 			comp[v] = int32(ci)
 		}
 	}
-	dag = NewWithNodes(len(comps), true)
+	b := NewBuilder(len(comps), true)
 	seen := make(map[int64]bool)
 	for v := 0; v < g.NumNodes(); v++ {
 		cv := comp[v]
@@ -112,8 +112,8 @@ func Condensation(g *Graph) (dag *Graph, comp []int32, comps [][]NodeID) {
 				continue
 			}
 			seen[key] = true
-			dag.AddEdge(NodeID(cv), NodeID(cw), 1)
+			b.AddEdge(NodeID(cv), NodeID(cw), 1)
 		}
 	}
-	return dag, comp, comps
+	return b.Build(), comp, comps
 }

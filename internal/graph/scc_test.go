@@ -21,12 +21,13 @@ func sccOf(t *testing.T, comps [][]NodeID, v NodeID) int {
 
 func TestSCCCycleAndTail(t *testing.T) {
 	// Cycle 0→1→2→0 plus tail 2→3→4.
-	g := NewWithNodes(5, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 0, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 4, 1)
+	b := NewBuilder(5, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 0, 1)
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(3, 4, 1)
+	g := b.Build()
 	comps := StronglyConnectedComponents(g)
 	if len(comps) != 3 {
 		t.Fatalf("got %d SCCs, want 3", len(comps))
@@ -42,10 +43,11 @@ func TestSCCCycleAndTail(t *testing.T) {
 func TestSCCReverseTopologicalOrder(t *testing.T) {
 	// Chain of singletons 0→1→2→3: emission order must be reverse
 	// topological (sinks first).
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 3, 1)
+	g := b.Build()
 	comps := StronglyConnectedComponents(g)
 	if len(comps) != 4 {
 		t.Fatalf("got %d SCCs", len(comps))
@@ -58,13 +60,14 @@ func TestSCCReverseTopologicalOrder(t *testing.T) {
 
 func TestCondensation(t *testing.T) {
 	// Two 2-cycles joined by one arc: condensation is a 2-node DAG.
-	g := NewWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 0, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 2, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 2, 1) // parallel component arc: must deduplicate
+	b := NewBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 0, 1)
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(3, 2, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(0, 2, 1) // parallel component arc: must deduplicate
+	g := b.Build()
 
 	dag, comp, comps := Condensation(g)
 	if len(comps) != 2 || dag.NumNodes() != 2 {
@@ -88,13 +91,14 @@ func TestSCCProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20
-		g := NewWithNodes(n, true)
+		b := NewBuilder(n, true)
 		for i := 0; i < 40; i++ {
 			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
 			if u != v {
-				g.AddEdge(u, v, 1)
+				b.AddEdge(u, v, 1)
 			}
 		}
+		g := b.Build()
 		dag, comp, comps := Condensation(g)
 		seen := map[NodeID]bool{}
 		for _, c := range comps {
@@ -145,10 +149,11 @@ func TestSCCProperty(t *testing.T) {
 func TestSCCLargePathNoStackOverflow(t *testing.T) {
 	// 200k-node path: the iterative implementation must handle it.
 	n := 200_000
-	g := NewWithNodes(n, true)
+	b := NewBuilder(n, true)
 	for i := 0; i < n-1; i++ {
-		g.AddEdge(NodeID(i), NodeID(i+1), 1)
+		b.AddEdge(NodeID(i), NodeID(i+1), 1)
 	}
+	g := b.Build()
 	comps := StronglyConnectedComponents(g)
 	if len(comps) != n {
 		t.Fatalf("got %d SCCs, want %d", len(comps), n)

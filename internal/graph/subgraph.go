@@ -25,41 +25,27 @@ func Induce(g *Graph, nodes []NodeID) *Subgraph {
 		local[v] = NodeID(len(orig))
 		orig = append(orig, v)
 	}
-	sub := NewWithNodes(len(orig), true)
-	// Count the induced degrees first, then carve every adjacency list out
-	// of one flat arc buffer with exact capacity: AddEdge's appends then
-	// fill in place instead of growth-reallocating each list (extraction
-	// builds thousands of these subgraphs per training run).
-	counts := make([]int32, 2*len(orig)) // [out degrees | in degrees]
-	outCnt, inCnt := counts[:len(orig)], counts[len(orig):]
+	// Count the induced arcs first so the builder's edge list is
+	// allocated once at its exact size (extraction builds thousands of
+	// these subgraphs per training run).
 	total := 0
 	for _, pu := range orig {
 		for _, a := range g.Out(pu) {
-			if lv, ok := local[a.To]; ok {
-				outCnt[local[pu]]++
-				inCnt[lv]++
+			if _, ok := local[a.To]; ok {
 				total++
 			}
 		}
 	}
-	buf := make([]Arc, 0, 2*total)
-	off := 0
-	for lu := range orig {
-		sub.out[lu] = buf[off : off : off+int(outCnt[lu])]
-		off += int(outCnt[lu])
-	}
-	for lv := range orig {
-		sub.in[lv] = buf[off : off : off+int(inCnt[lv])]
-		off += int(inCnt[lv])
-	}
+	b := NewBuilder(len(orig), true)
+	b.edges = make([]Edge, 0, total)
 	for lu, pu := range orig {
 		for _, a := range g.Out(pu) {
 			if lv, ok := local[a.To]; ok {
-				sub.AddEdge(NodeID(lu), lv, a.Weight)
+				b.AddEdge(NodeID(lu), lv, a.Weight)
 			}
 		}
 	}
-	return &Subgraph{G: sub, Orig: orig}
+	return &Subgraph{G: b.Build(), Orig: orig}
 }
 
 // Contains reports whether parent node v is part of the subgraph.
@@ -91,13 +77,13 @@ func RemoveNodes(g *Graph, drop map[NodeID]bool) (*Graph, []NodeID) {
 	for i, v := range keep {
 		newID[v] = NodeID(i)
 	}
-	out := NewWithNodes(len(keep), true)
+	b := NewBuilder(len(keep), true)
 	for _, u := range keep {
 		for _, a := range g.Out(u) {
 			if nv := newID[a.To]; nv >= 0 {
-				out.AddEdge(newID[u], nv, a.Weight)
+				b.AddEdge(newID[u], nv, a.Weight)
 			}
 		}
 	}
-	return out, keep
+	return b.Build(), keep
 }

@@ -1,26 +1,5 @@
 package graph
 
-// RHopNeighborhood returns the set of nodes reachable from v0 by following
-// at most r outgoing arcs, including v0 itself (the paper's N_r(v0) used to
-// constrain random walks in Algorithm 1). The result is a membership set.
-func RHopNeighborhood(g *Graph, v0 NodeID, r int) map[NodeID]bool {
-	seen := map[NodeID]bool{v0: true}
-	frontier := []NodeID{v0}
-	for hop := 0; hop < r && len(frontier) > 0; hop++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, a := range g.Out(u) {
-				if !seen[a.To] {
-					seen[a.To] = true
-					next = append(next, a.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	return seen
-}
-
 // BFSOrder returns nodes in breadth-first order from v0 following outgoing
 // arcs, up to limit nodes (limit <= 0 means no limit).
 func BFSOrder(g *Graph, v0 NodeID, limit int) []NodeID {
@@ -110,14 +89,4 @@ func WeaklyConnectedComponents(g *Graph) [][]NodeID {
 		}
 	}
 	return comps
-}
-
-// LargestComponent returns the subgraph induced by the largest weakly
-// connected component of g.
-func LargestComponent(g *Graph) *Subgraph {
-	comps := WeaklyConnectedComponents(g)
-	if len(comps) == 0 {
-		return &Subgraph{G: New(true)}
-	}
-	return Induce(g, comps[0])
 }

@@ -9,7 +9,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -350,20 +350,10 @@ type RIS struct {
 	// Obs, when non-nil, receives one ParallelFor event per Select call.
 	Obs obs.Observer
 
-	// sel persists the RR-set arena, cover index, per-worker scratches,
+	// ix persists the RR-set arena, coverage index, per-worker scratches,
 	// and greedy buffers across Select calls (see DESIGN.md §"Scratch
 	// arenas"), so repeated selections on one solver reuse all storage.
-	sel *risState
-}
-
-// risState is the reusable storage behind RIS.Select.
-type risState struct {
-	arena   rrArena
-	cover   coverIndex
-	scratch *parallel.Scratch[*rrScratch]
-	locs    []rrLoc
-	covered []bool
-	count   []int
+	ix *rrIndex
 }
 
 // Name implements Solver.
@@ -402,81 +392,24 @@ func (r *RIS) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 	// Build RR sets: from a uniform target, walk reverse arcs, keeping each
 	// with its influence probability. Set i draws target and arcs from its
 	// own stream, so generation parallelizes without changing the sample.
-	if r.sel == nil {
-		nodes := n
-		r.sel = &risState{scratch: parallel.NewScratch(func() *rrScratch { return newRRScratch(nodes) })}
+	if r.ix == nil {
+		r.ix = newRRIndex(n)
 	}
-	st := r.sel
-	st.arena.reset()
-	var genErr error
-	st.locs, _, genErr = generateRRSets(ctx, r.G, &st.arena, samples, 0, r.MaxDepth, r.Seed, r.Workers, st.scratch, st.locs, span, "im.ris.rrsets")
-	if genErr != nil {
+	ix := r.ix
+	ix.reset()
+	if err := ix.generate(ctx, r.G, samples, r.MaxDepth, r.Seed, r.Workers, span, "im.ris.rrsets"); err != nil {
 		obs.Emit(o, obs.Canceled{
 			Phase:   "rrgen",
-			Done:    st.arena.numSets(),
+			Done:    ix.arena.numSets(),
 			Total:   samples,
-			Reason:  genErr.Error(),
+			Reason:  err.Error(),
 			Latency: clk.Latency(),
 		})
-		return nil, &CanceledError{Solver: "ris", K: k, Err: genErr}
+		return nil, &CanceledError{Solver: "ris", K: k, Err: err}
 	}
-	st.cover.build(&st.arena, n)
-	// Greedy max coverage over the RR sets.
-	if cap(st.covered) < samples {
-		st.covered = make([]bool, samples)
-	}
-	covered := st.covered[:samples]
-	for i := range covered {
-		covered[i] = false
-	}
-	if cap(st.count) < n {
-		st.count = make([]int, n)
-	}
-	count := st.count[:n]
-	for v := 0; v < n; v++ {
-		count[v] = len(st.cover.of(graph.NodeID(v)))
-	}
-	seeds := make([]graph.NodeID, 0, k)
-	for len(seeds) < k {
-		if err := ctx.Err(); err != nil {
-			return nil, cancelSelect(o, clk, "ris", "select", seeds, k, err)
-		}
-		best, bestVal := -1, -1
-		for v := 0; v < n; v++ {
-			if count[v] > bestVal {
-				best, bestVal = v, count[v]
-			}
-		}
-		if best < 0 || bestVal == 0 {
-			// All RR sets covered; fill remaining slots by degree for
-			// determinism.
-			for v := 0; v < n && len(seeds) < k; v++ {
-				if count[v] >= 0 {
-					dup := false
-					for _, s := range seeds {
-						if s == graph.NodeID(v) {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						seeds = append(seeds, graph.NodeID(v))
-					}
-				}
-			}
-			break
-		}
-		seeds = append(seeds, graph.NodeID(best))
-		for _, si := range st.cover.of(graph.NodeID(best)) {
-			if covered[si] {
-				continue
-			}
-			covered[si] = true
-			for _, v := range st.arena.set(int(si)) {
-				count[v]--
-			}
-		}
-		count[best] = -1 // never re-pick
+	seeds, _, err := ix.maxCover(ctx, k)
+	if err != nil {
+		return nil, cancelSelect(o, clk, "ris", "select", seeds, k, err)
 	}
 	return seeds, nil
 }
@@ -514,54 +447,82 @@ func (a *rrArena) appendSet(s []graph.NodeID) {
 // reset empties the arena, keeping capacity.
 func (a *rrArena) reset() { a.nodes, a.offs = a.nodes[:0], a.offs[:0] }
 
-// coverIndex maps node → indices of the RR sets containing it, in CSR
-// form: node v's set IDs are ids[offs[v]:offs[v+1]], ascending (sets are
-// scanned in index order), matching the historical append-built lists
-// exactly. Rebuilt via count → prefix-sum → fill passes over the arena,
-// reusing its buffers across builds.
+// grow makes room for sets more sets of nodes nodes in all, so the
+// appendSet calls that follow never reallocate.
+func (a *rrArena) grow(sets, nodes int) {
+	a.offs = slices.Grow(a.offs, sets+1)
+	a.nodes = slices.Grow(a.nodes, nodes)
+}
+
+// coverIndex maps node → indices of the RR sets containing it, as one CSR
+// segment per generation batch: within a segment, node v's set IDs are
+// ids[offs[v]:offs[v+1]], ascending, and the segments run in batch
+// order, so walking them in order lists v's sets ascending. Each batch is
+// indexed once, when it lands; reset keeps every segment's buffers.
 type coverIndex struct {
+	segs []coverSeg
+}
+
+type coverSeg struct {
 	offs []uint32
 	ids  []int32
-	cur  []uint32 // fill cursors
 }
 
-func (c *coverIndex) build(a *rrArena, n int) {
-	if cap(c.offs) < n+1 {
-		c.offs = make([]uint32, n+1)
+func (c *coverIndex) reset() { c.segs = c.segs[:0] }
+
+// add indexes sets lo.. of a as a new segment over n nodes, by count →
+// prefix-sum → fill passes with offs[v] as v's fill cursor.
+func (c *coverIndex) add(a *rrArena, lo, n int) {
+	if len(c.segs) < cap(c.segs) {
+		c.segs = c.segs[:len(c.segs)+1]
+	} else {
+		c.segs = append(c.segs, coverSeg{})
 	}
-	c.offs = c.offs[:n+1]
-	for i := range c.offs {
-		c.offs[i] = 0
+	s := &c.segs[len(c.segs)-1]
+	s.offs = resized(s.offs, n+1)
+	clear(s.offs)
+	hi := a.numSets()
+	var start uint32
+	if lo < hi {
+		start = a.offs[lo]
 	}
-	for _, v := range a.nodes {
-		c.offs[v+1]++
+	for _, v := range a.nodes[start:] {
+		s.offs[v+1]++
 	}
 	for v := 0; v < n; v++ {
-		c.offs[v+1] += c.offs[v]
+		s.offs[v+1] += s.offs[v]
 	}
-	if cap(c.cur) < n {
-		c.cur = make([]uint32, n)
-	}
-	c.cur = c.cur[:n]
-	copy(c.cur, c.offs[:n])
-	if cap(c.ids) < len(a.nodes) {
-		c.ids = make([]int32, len(a.nodes))
-	}
-	c.ids = c.ids[:len(a.nodes)]
-	for i, m := 0, a.numSets(); i < m; i++ {
+	s.ids = resized(s.ids, len(a.nodes)-int(start))
+	for i := lo; i < hi; i++ {
 		for _, v := range a.set(i) {
-			c.ids[c.cur[v]] = int32(i)
-			c.cur[v]++
+			s.ids[s.offs[v]] = int32(i)
+			s.offs[v]++
 		}
 	}
+	// Each cursor now sits at its node's end, the next node's start.
+	copy(s.offs[1:], s.offs[:n])
+	s.offs[0] = 0
 }
 
-// of returns the covering set indices of v; empty until build has run.
-func (c *coverIndex) of(v graph.NodeID) []int32 {
-	if len(c.offs) == 0 {
-		return nil
+// count returns the number of indexed sets containing v.
+func (c *coverIndex) count(v graph.NodeID) int {
+	total := 0
+	for i := range c.segs {
+		total += int(c.segs[i].offs[v+1] - c.segs[i].offs[v])
 	}
-	return c.ids[c.offs[v]:c.offs[v+1]]
+	return total
+}
+
+// of returns the segment's covering set indices of v.
+func (s *coverSeg) of(v graph.NodeID) []int32 { return s.ids[s.offs[v]:s.offs[v+1]] }
+
+// resized returns buf with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // rrScratch is the reusable per-worker state of the RR-set sampler: a
@@ -572,11 +533,11 @@ type rrScratch struct {
 	seen           *bitset.Set
 	frontier, next []graph.NodeID
 	arena          []graph.NodeID // this worker's draws, pending compaction
-	rng            *parallel.StreamRNG
+	rng            parallel.StreamRNG
 }
 
 func newRRScratch(n int) *rrScratch {
-	return &rrScratch{seen: bitset.New(n), rng: parallel.NewStreamRNG()}
+	return &rrScratch{seen: bitset.New(n)}
 }
 
 // rrLoc records where a set landed during the parallel fan-out: worker
@@ -611,7 +572,7 @@ var rrGenPool = sync.Pool{New: func() any {
 			// fresh parallel.Stream(seed, base+i), minus the allocation.
 			sc.rng.SetStream(gs.seed, uint64(gs.base+i))
 			target := graph.NodeID(sc.rng.Intn(gs.n))
-			s, e := reverseReachable(gs.g, target, gs.maxDepth, sc.rng.Rand, sc)
+			s, e := reverseReachable(gs.g, target, gs.maxDepth, &sc.rng, sc)
 			gs.locs[i] = rrLoc{worker: int32(w), start: s, end: e}
 		}
 	}
@@ -658,6 +619,11 @@ func generateRRSets(ctx context.Context, g *graph.Graph, arena *rrArena, count, 
 		scratch.Each(func(_ int, sc *rrScratch) { sc.arena = sc.arena[:0] })
 		return locs, st, err
 	}
+	total := 0
+	for _, l := range locs {
+		total += int(l.end - l.start)
+	}
+	arena.grow(count, total)
 	for i := range locs {
 		sc := scratch.Get(int(locs[i].worker))
 		arena.appendSet(sc.arena[locs[i].start:locs[i].end])
@@ -671,7 +637,7 @@ func generateRRSets(ctx context.Context, g *graph.Graph, arena *rrArena, count, 
 // depth-bounded (maxDepth 0 = unbounded). The set is appended to sc.arena
 // and returned as its [start, end) offsets; sc is left clean (seen empty)
 // for the next draw.
-func reverseReachable(g *graph.Graph, target graph.NodeID, maxDepth int, rng *rand.Rand, sc *rrScratch) (start, end uint32) {
+func reverseReachable(g *graph.Graph, target graph.NodeID, maxDepth int, rng *parallel.StreamRNG, sc *rrScratch) (start, end uint32) {
 	start = uint32(len(sc.arena))
 	sc.seen.Add(int(target))
 	sc.arena = append(sc.arena, target)

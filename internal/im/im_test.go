@@ -12,14 +12,14 @@ import (
 // twoStars builds two disjoint stars: hub 0 → {1..5}, hub 6 → {7..9}.
 // With w=1 the optimal 2-seed set is {0, 6}.
 func twoStars() *graph.Graph {
-	g := graph.NewWithNodes(10, true)
+	b := graph.NewBuilder(10, true)
 	for v := 1; v <= 5; v++ {
-		g.AddEdge(0, graph.NodeID(v), 1)
+		b.AddEdge(0, graph.NodeID(v), 1)
 	}
 	for v := 7; v <= 9; v++ {
-		g.AddEdge(6, graph.NodeID(v), 1)
+		b.AddEdge(6, graph.NodeID(v), 1)
 	}
-	return g
+	return b.Build()
 }
 
 // spread is diffusion.Estimate under context.Background with default
@@ -81,13 +81,16 @@ func TestCELFPicksBothHubs(t *testing.T) {
 
 func TestCELFMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := graph.NewWithNodes(25, true)
+	b := graph.NewBuilder(25, true)
+	seen := map[[2]graph.NodeID]bool{}
 	for i := 0; i < 80; i++ {
 		u, v := graph.NodeID(rng.Intn(25)), graph.NodeID(rng.Intn(25))
-		if u != v && !g.HasEdge(u, v) {
-			g.AddEdge(u, v, 1) // deterministic cascades -> exact equivalence
+		if k := [2]graph.NodeID{u, v}; u != v && !seen[k] {
+			seen[k] = true
+			b.AddEdge(u, v, 1) // deterministic cascades -> exact equivalence
 		}
 	}
+	g := b.Build()
 	model := &diffusion.IC{G: g}
 	c := &CELF{Model: model, Rounds: 1, Seed: 2, NumNodes: 25}
 	cs, gs := c.Select(3), greedy(model, 25, 3, 1, 2)
@@ -160,15 +163,16 @@ func TestDegreeSolver(t *testing.T) {
 func TestDegreeDiscountAvoidsOverlap(t *testing.T) {
 	// Hub 0 → {1,2,3,4}; node 1 → {2,3,4} overlaps hub coverage; node 5 → {6,7}.
 	// Plain degree picks {0, 1}; degree-discount should prefer {0, 5}.
-	g := graph.NewWithNodes(8, true)
+	b := graph.NewBuilder(8, true)
 	for v := 1; v <= 4; v++ {
-		g.AddEdge(0, graph.NodeID(v), 1)
+		b.AddEdge(0, graph.NodeID(v), 1)
 	}
 	for v := 2; v <= 4; v++ {
-		g.AddEdge(1, graph.NodeID(v), 1)
+		b.AddEdge(1, graph.NodeID(v), 1)
 	}
-	g.AddEdge(5, 6, 1)
-	g.AddEdge(5, 7, 1)
+	b.AddEdge(5, 6, 1)
+	b.AddEdge(5, 7, 1)
+	g := b.Build()
 
 	dd := &DegreeDiscount{G: g, P: 0.5}
 	seeds := dd.Select(2)
@@ -192,7 +196,7 @@ func TestRISPicksHubs(t *testing.T) {
 func TestRISAllCoveredFallback(t *testing.T) {
 	// Edgeless graph: every RR set is a single node; after covering, fill
 	// deterministically without duplicates.
-	g := graph.NewWithNodes(5, true)
+	g := graph.NewBuilder(5, true).Build()
 	r := &RIS{G: g, Samples: 50, Seed: 1}
 	seeds := r.Select(4)
 	if err := ValidateSeeds(seeds, 5); err != nil {

@@ -42,9 +42,10 @@ type IMM struct {
 // Name implements Solver.
 func (s *IMM) Name() string { return "imm" }
 
-// rrIndex accumulates reverse-reachable sets in a flat arena with a CSR
-// coverage index, plus the per-worker generation scratches and greedy
-// buffers, all reused across the incremental batches of IMM's two phases.
+// rrIndex accumulates reverse-reachable sets in a flat arena with one
+// coverage segment per generation batch, plus the per-worker generation
+// scratches and greedy buffers, all reused across IMM's incremental
+// batches and across RIS's Select calls.
 type rrIndex struct {
 	n       int
 	arena   rrArena
@@ -53,6 +54,7 @@ type rrIndex struct {
 	locs    []rrLoc
 	covered []bool
 	count   []int
+	heap    coverHeap
 }
 
 func newRRIndex(n int) *rrIndex {
@@ -62,45 +64,58 @@ func newRRIndex(n int) *rrIndex {
 	}
 }
 
-func (ix *rrIndex) generate(ctx context.Context, g *graph.Graph, count, maxDepth int, seed int64, workers int, parent *obs.Span) error {
+// reset empties the index, keeping every buffer's capacity.
+func (ix *rrIndex) reset() {
+	ix.arena.reset()
+	ix.cover.reset()
+}
+
+// generate appends count sets and indexes them as one coverage segment.
+func (ix *rrIndex) generate(ctx context.Context, g *graph.Graph, count, maxDepth int, seed int64, workers int, parent *obs.Span, site string) error {
 	base := ix.arena.numSets()
 	var err error
-	ix.locs, _, err = generateRRSets(ctx, g, &ix.arena, count, base, maxDepth, seed, workers, ix.scratch, ix.locs, parent, "im.imm.rrsets")
+	ix.locs, _, err = generateRRSets(ctx, g, &ix.arena, count, base, maxDepth, seed, workers, ix.scratch, ix.locs, parent, site)
 	if err != nil {
 		return err
 	}
-	ix.cover.build(&ix.arena, ix.n)
+	ix.cover.add(&ix.arena, base, ix.n)
 	return nil
 }
 
 // maxCover greedily picks k nodes covering the most RR sets and returns
-// them with the covered fraction.
-func (ix *rrIndex) maxCover(n, k int) ([]graph.NodeID, float64) {
-	numSets := ix.arena.numSets()
-	if cap(ix.covered) < numSets {
-		ix.covered = make([]bool, numSets)
-	}
-	covered := ix.covered[:numSets]
-	for i := range covered {
-		covered[i] = false
-	}
-	if cap(ix.count) < n {
-		ix.count = make([]int, n)
-	}
-	count := ix.count[:n]
+// them with the covered fraction, taking the lowest ID among equal
+// counts; once every set is covered it fills with the lowest unpicked
+// IDs. ctx is checked before every pick; on cancellation the picks so far
+// are returned with the context error.
+func (ix *rrIndex) maxCover(ctx context.Context, k int) ([]graph.NodeID, float64, error) {
+	n, numSets := ix.n, ix.arena.numSets()
+	ix.covered = resized(ix.covered, numSets)
+	covered := ix.covered
+	clear(covered)
+	ix.count = resized(ix.count, n)
+	count := ix.count
+	h := ix.heap[:0]
 	for v := 0; v < n; v++ {
-		count[v] = len(ix.cover.of(graph.NodeID(v)))
+		count[v] = ix.cover.count(graph.NodeID(v))
+		h = append(h, coverKey(count[v], v))
 	}
+	h.init()
 	seeds := make([]graph.NodeID, 0, k)
 	totalCovered := 0
-	for len(seeds) < k && len(seeds) < n {
-		best, bestVal := -1, 0
-		for v := 0; v < n; v++ {
-			if count[v] > bestVal {
-				best, bestVal = v, count[v]
-			}
+	for len(seeds) < k && len(h) > 0 {
+		if err := ctx.Err(); err != nil {
+			ix.heap = h
+			return seeds, 0, err
 		}
-		if best < 0 || bestVal == 0 {
+		// Counts only fall, so every key bounds its node's count from
+		// above: a stale top sifts down under its fresh count, and a
+		// fresh top is the lowest-ID maximum.
+		for c, v := h.top(); c != count[v]; c, v = h.top() {
+			h[0] = coverKey(count[v], v)
+			h.down(0)
+		}
+		c, best := h.top()
+		if c == 0 {
 			// Everything covered: fill arbitrarily but deterministically.
 			for v := 0; v < n && len(seeds) < k; v++ {
 				if count[v] >= 0 {
@@ -111,8 +126,11 @@ func (ix *rrIndex) maxCover(n, k int) ([]graph.NodeID, float64) {
 			break
 		}
 		seeds = append(seeds, graph.NodeID(best))
-		for _, si := range ix.cover.of(graph.NodeID(best)) {
-			if !covered[si] {
+		for i := range ix.cover.segs {
+			for _, si := range ix.cover.segs[i].of(graph.NodeID(best)) {
+				if covered[si] {
+					continue
+				}
 				covered[si] = true
 				totalCovered++
 				for _, v := range ix.arena.set(int(si)) {
@@ -123,11 +141,54 @@ func (ix *rrIndex) maxCover(n, k int) ([]graph.NodeID, float64) {
 			}
 		}
 		count[best] = -1
+		h.pop()
 	}
+	ix.heap = h
 	if numSets == 0 {
-		return seeds, 0
+		return seeds, 0, nil
 	}
-	return seeds, float64(totalCovered) / float64(numSets)
+	return seeds, float64(totalCovered) / float64(numSets), nil
+}
+
+// coverHeap is a max-heap of node keys count<<32 | ^id, so the top is the
+// node in the most sets and, among equal counts, the lowest ID.
+type coverHeap []uint64
+
+func coverKey(count, v int) uint64 { return uint64(count)<<32 | uint64(^uint32(v)) }
+
+// top returns the count and node of the top key.
+func (h coverHeap) top() (count, v int) { return int(h[0] >> 32), int(^uint32(h[0])) }
+
+func (h coverHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down restores the heap below i after h[i] shrank.
+func (h coverHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// pop removes the top key.
+func (h *coverHeap) pop() {
+	last := len(*h) - 1
+	(*h)[0] = (*h)[last]
+	*h = (*h)[:last]
+	h.down(0)
 }
 
 // Select implements Solver following IMM's two phases.
@@ -193,11 +254,14 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 			thetaI = maxSamples
 		}
 		if need := thetaI - ix.arena.numSets(); need > 0 {
-			if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span); err != nil {
+			if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span, "im.imm.rrsets"); err != nil {
 				return nil, cancelSelect(o, clk, "imm", "rrgen", nil, k, err)
 			}
 		}
-		_, frac := ix.maxCover(n, k)
+		_, frac, err := ix.maxCover(ctx, k)
+		if err != nil {
+			return nil, cancelSelect(o, clk, "imm", "select", nil, k, err)
+		}
 		if fn*frac >= (1+epsPrime)*x {
 			lb = fn * frac / (1 + epsPrime)
 			break
@@ -216,11 +280,14 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 		theta = maxSamples
 	}
 	if need := theta - ix.arena.numSets(); need > 0 {
-		if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span); err != nil {
+		if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span, "im.imm.rrsets"); err != nil {
 			return nil, cancelSelect(o, clk, "imm", "rrgen", nil, k, err)
 		}
 	}
-	seeds, _ := ix.maxCover(n, k)
+	seeds, _, err := ix.maxCover(ctx, k)
+	if err != nil {
+		return nil, cancelSelect(o, clk, "imm", "select", seeds, k, err)
+	}
 	return seeds, nil
 }
 

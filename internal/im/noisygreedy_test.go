@@ -44,8 +44,9 @@ func TestNoisyGreedyExample2(t *testing.T) {
 }
 
 func TestNoisyGreedyEdgeCases(t *testing.T) {
-	g := graph.NewWithNodes(4, true)
-	g.AddEdge(0, 1, 1)
+	b := graph.NewBuilder(4, true)
+	b.AddEdge(0, 1, 1)
+	g := b.Build()
 	ngr := &NoisyGreedy{Model: &diffusion.IC{G: g}, Epsilon: 1, NumNodes: 4, Seed: 1}
 	if got := ngr.Select(0); got != nil {
 		t.Fatalf("Select(0) = %v", got)

@@ -15,17 +15,17 @@ import (
 func parallelTestGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	n := 40
-	g := graph.NewWithNodes(n, true)
+	b := graph.NewBuilder(n, true)
 	for i := 0; i < n; i++ {
 		// Ring for connectivity.
-		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 0.3)
+		b.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 0.3)
 	}
 	for i := 1; i < 10; i++ {
 		// Node 0 is a hub.
-		g.AddEdge(0, graph.NodeID(i*4%n), 0.8)
-		g.AddEdge(graph.NodeID((i*7)%n), graph.NodeID((i*11)%n), 0.5)
+		b.AddEdge(0, graph.NodeID(i*4%n), 0.8)
+		b.AddEdge(graph.NodeID((i*7)%n), graph.NodeID((i*11)%n), 0.5)
 	}
-	return g
+	return b.Build()
 }
 
 func sameSeeds(t *testing.T, name string, a, b []graph.NodeID) {
@@ -98,10 +98,11 @@ func TestGenerateRRSetsStreamStable(t *testing.T) {
 func TestReverseReachableScratchClean(t *testing.T) {
 	g := parallelTestGraph(t)
 	sc := newRRScratch(g.NumNodes())
+	var rng parallel.StreamRNG
 	for i := 0; i < 50; i++ {
-		rng := parallel.Stream(3, uint64(i))
+		rng.SetStream(3, uint64(i))
 		target := graph.NodeID(rng.Intn(g.NumNodes()))
-		start, end := reverseReachable(g, target, 0, rng, sc)
+		start, end := reverseReachable(g, target, 0, &rng, sc)
 		set := sc.arena[start:end]
 		if len(set) == 0 || set[0] != target {
 			t.Fatalf("draw %d: set %v does not start at target %d", i, set, target)

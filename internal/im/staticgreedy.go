@@ -45,14 +45,15 @@ type sgWorld struct {
 // or per-node depth-bounded BFS when maxDepth > 0.
 func buildWorld(g *graph.Graph, maxDepth int, rng *rand.Rand) sgWorld {
 	n := g.NumNodes()
-	live := graph.NewWithNodes(n, true)
+	b := graph.NewBuilder(n, true)
 	for v := 0; v < n; v++ {
 		for _, a := range g.Out(graph.NodeID(v)) {
 			if rng.Float64() < a.Weight {
-				live.AddEdge(graph.NodeID(v), a.To, 1)
+				b.AddEdge(graph.NodeID(v), a.To, 1)
 			}
 		}
 	}
+	live := b.Build()
 	if maxDepth > 0 {
 		// Depth-bounded: each node is its own "component" with a BFS-ball
 		// reach set.

@@ -38,10 +38,11 @@ func TestStaticGreedyDeterministicWorld(t *testing.T) {
 
 func TestStaticGreedyHandlesCycles(t *testing.T) {
 	// A strongly connected cycle: one seed reaches everything.
-	g := graph.NewWithNodes(6, true)
+	b := graph.NewBuilder(6, true)
 	for v := 0; v < 6; v++ {
-		g.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%6), 1)
+		b.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%6), 1)
 	}
+	g := b.Build()
 	s := &StaticGreedy{G: g, Worlds: 3, Seed: 4}
 	seeds := s.Select(1)
 	if got := s.ExpectedSpread(seeds); got != 6 {
@@ -85,7 +86,7 @@ func TestStaticGreedyEdgeCases(t *testing.T) {
 	if got := s.Select(100); len(got) != g.NumNodes() {
 		t.Fatalf("Select(100) = %d seeds", len(got))
 	}
-	empty := &StaticGreedy{G: graph.New(true), Worlds: 2, Seed: 1}
+	empty := &StaticGreedy{G: graph.NewBuilder(0, true).Build(), Worlds: 2, Seed: 1}
 	if got := empty.Select(3); got != nil {
 		t.Fatalf("empty graph Select = %v", got)
 	}

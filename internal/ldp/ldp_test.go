@@ -37,10 +37,11 @@ func TestRRProbabilities(t *testing.T) {
 func TestDebiasUnbiased(t *testing.T) {
 	// Average debiased estimate over many perturbations must approach the
 	// true degree.
-	g := graph.NewWithNodes(50, true)
+	b := graph.NewBuilder(50, true)
 	for v := 1; v <= 20; v++ {
-		g.AddEdge(0, graph.NodeID(v), 1) // node 0 has out-degree 20
+		b.AddEdge(0, graph.NodeID(v), 1) // node 0 has out-degree 20
 	}
+	g := b.Build()
 	const eps = 1.0
 	const trials = 400
 	rng := rand.New(rand.NewSource(1))
@@ -57,11 +58,12 @@ func TestDebiasUnbiased(t *testing.T) {
 }
 
 func TestHighEpsilonRecoversExactDegrees(t *testing.T) {
-	g := graph.NewWithNodes(30, true)
+	b := graph.NewBuilder(30, true)
 	for v := 1; v < 10; v++ {
-		g.AddEdge(0, graph.NodeID(v), 1)
-		g.AddEdge(graph.NodeID(v), graph.NodeID(v-1), 1)
+		b.AddEdge(0, graph.NodeID(v), 1)
+		b.AddEdge(graph.NodeID(v), graph.NodeID(v-1), 1)
 	}
+	g := b.Build()
 	rng := rand.New(rand.NewSource(2))
 	obs := PerturbOutDegrees(g, 20, rng) // e^20: essentially no noise
 	est := DebiasDegrees(obs, g.NumNodes(), 20)
@@ -128,8 +130,9 @@ func TestDegreeSeederDegradesWithEpsilon(t *testing.T) {
 }
 
 func TestDegreeSeederEdgeCases(t *testing.T) {
-	g := graph.NewWithNodes(5, true)
-	g.AddEdge(0, 1, 1)
+	b := graph.NewBuilder(5, true)
+	b.AddEdge(0, 1, 1)
+	g := b.Build()
 	s := &DegreeSeeder{G: g, Epsilon: 1, Seed: 1}
 	if got := s.Select(0); got != nil {
 		t.Fatalf("Select(0) = %v", got)
@@ -151,10 +154,11 @@ func TestExpectedDegreeError(t *testing.T) {
 		t.Fatal("error should grow with n")
 	}
 	// Sanity: matches the empirical std within 20%.
-	g := graph.NewWithNodes(200, true)
+	b := graph.NewBuilder(200, true)
 	for v := 1; v <= 30; v++ {
-		g.AddEdge(0, graph.NodeID(v), 1)
+		b.AddEdge(0, graph.NodeID(v), 1)
 	}
+	g := b.Build()
 	rng := rand.New(rand.NewSource(6))
 	var ests []float64
 	for i := 0; i < 300; i++ {

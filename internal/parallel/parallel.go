@@ -23,6 +23,7 @@ package parallel
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -231,23 +232,49 @@ func Stream(seed int64, i uint64) *rand.Rand {
 
 // StreamRNG is a reusable stream generator: SetStream repositions it to
 // any (seed, i) stream of the Stream family without allocating, so hot
-// loops that burn one stream per work item (RR-set draws, Monte-Carlo
-// rounds) can keep one StreamRNG per worker instead of a rand.New per
-// item. Not safe for concurrent use; keep one per worker.
-type StreamRNG struct {
-	src source
-	*rand.Rand
-}
-
-// NewStreamRNG returns a StreamRNG positioned at Stream(0, 0).
-func NewStreamRNG() *StreamRNG {
-	r := &StreamRNG{}
-	r.Rand = rand.New(&r.src)
-	return r
-}
+// loops that burn one stream per work item (RR-set draws) can keep one
+// StreamRNG per worker instead of a rand.New per item. Its draw methods
+// run on the concrete SplitMix64 source, without rand.Rand's interface
+// call, and return exactly what the rand.Rand methods of the same name
+// return on a fresh Stream(seed, i): Go 1 compatibility freezes how those
+// methods consume a source. The zero value is positioned at source state
+// 0; call SetStream first. Not safe for concurrent use; keep one per
+// worker.
+type StreamRNG struct{ src source }
 
 // SetStream repositions r so its subsequent draws are exactly those of a
 // fresh Stream(seed, i).
 func (r *StreamRNG) SetStream(seed int64, i uint64) {
 	r.src.state = splitmix64(splitmix64(uint64(seed)) + i)
+}
+
+// Int63 is rand.Rand.Int63: a non-negative 63-bit integer.
+func (r *StreamRNG) Int63() int64 { return r.src.Int63() }
+
+// Float64 is rand.Rand.Float64: a float in [0, 1), redrawing the rare
+// Int63 that rounds up to 1.
+func (r *StreamRNG) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// Intn is rand.Rand.Intn for 0 < n < 2³¹ (its Int31n path): an int in
+// [0, n), rejecting the biased top of the 31-bit range.
+func (r *StreamRNG) Intn(n int) int {
+	if n <= 0 || n > math.MaxInt32 {
+		panic("parallel: StreamRNG.Intn argument outside (0, 2^31)")
+	}
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(int32(r.Int63()>>32) & (m - 1))
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := int32(r.Int63() >> 32)
+	for v > limit {
+		v = int32(r.Int63() >> 32)
+	}
+	return int(v % m)
 }

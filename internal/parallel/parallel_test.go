@@ -174,3 +174,29 @@ func TestForHammer(t *testing.T) {
 type errSum int64
 
 func (e errSum) Error() string { return "bad hammer sum" }
+
+// TestStreamRNGMatchesStream checks that StreamRNG's draws equal
+// rand.Rand's on Stream(seed, i), interleaved so any divergence in how
+// many source values a draw consumes shows up: Intn over powers of two,
+// over bounds that reject often (2³⁰+1 rejects about half its draws),
+// and over 2³¹−1.
+func TestStreamRNGMatchesStream(t *testing.T) {
+	bounds := []int{1, 2, 1 << 10, 3, 1000, 15000, 1<<30 + 1, 1<<31 - 1}
+	var r StreamRNG
+	for i := uint64(0); i < 2000; i++ {
+		seed := int64(i%7) - 3
+		r.SetStream(seed, i)
+		ref := Stream(seed, i)
+		for j, n := range bounds {
+			if got, want := r.Intn(n), ref.Intn(n); got != want {
+				t.Fatalf("stream %d draw %d: Intn(%d) = %d, want %d", i, j, n, got, want)
+			}
+			if got, want := r.Float64(), ref.Float64(); got != want {
+				t.Fatalf("stream %d draw %d: Float64 = %v, want %v", i, j, got, want)
+			}
+			if got, want := r.Int63(), ref.Int63(); got != want {
+				t.Fatalf("stream %d draw %d: Int63 = %d, want %d", i, j, got, want)
+			}
+		}
+	}
+}

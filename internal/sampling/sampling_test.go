@@ -75,10 +75,11 @@ func TestExtractRWRHopBound(t *testing.T) {
 	// On a long path with hop bound r, every collected node must be within
 	// r weak hops of the start. Build a path so this is easy to verify.
 	n := 50
-	g := graph.NewWithNodes(n, true)
+	b := graph.NewBuilder(n, true)
 	for i := 0; i < n-1; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
 	}
+	g := b.Build()
 	cfg := RWRConfig{SubgraphSize: 4, Theta: 10, Tau: 0.1, SamplingRate: 1, WalkLength: 500, Hops: 3}
 	rng := rand.New(rand.NewSource(3))
 	c, _, err := ExtractRWR(g, cfg, rng)
@@ -306,8 +307,8 @@ func TestContainerMergePanicsOnMismatch(t *testing.T) {
 
 func TestOccurrencesAudit(t *testing.T) {
 	c := NewContainer(4)
-	c.Add(&graph.Subgraph{G: graph.NewWithNodes(2, true), Orig: []graph.NodeID{0, 1}})
-	c.Add(&graph.Subgraph{G: graph.NewWithNodes(2, true), Orig: []graph.NodeID{1, 2}})
+	c.Add(&graph.Subgraph{G: graph.NewBuilder(2, true).Build(), Orig: []graph.NodeID{0, 1}})
+	c.Add(&graph.Subgraph{G: graph.NewBuilder(2, true).Build(), Orig: []graph.NodeID{1, 2}})
 	if c.Occurrences[1] != 2 || c.Occurrences[0] != 1 || c.Occurrences[3] != 0 {
 		t.Fatalf("occurrences %v", c.Occurrences)
 	}

@@ -25,7 +25,7 @@ func newIdleManager(queueCap int) *jobManager {
 
 func TestJobQueueBoundsAndCancel(t *testing.T) {
 	m := newIdleManager(1)
-	g := graph.NewWithNodes(4, true)
+	g := graph.NewBuilder(4, true).Build()
 
 	st, err := m.Submit(TrainRequest{Graph: "g"}, g, "", "")
 	if err != nil {
@@ -56,7 +56,7 @@ func TestJobQueueBoundsAndCancel(t *testing.T) {
 
 func TestJobManagerDrainRejectsNewWork(t *testing.T) {
 	m := newIdleManager(4)
-	g := graph.NewWithNodes(4, true)
+	g := graph.NewBuilder(4, true).Build()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -77,7 +77,7 @@ func TestCanceledJobIsSkippedByWorker(t *testing.T) {
 	// before the cancel lands, so it is no longer in the pending queue —
 	// the run-time state guard must still refuse to execute it.
 	m := newIdleManager(1)
-	g := graph.NewWithNodes(4, true)
+	g := graph.NewBuilder(4, true).Build()
 	st, err := m.Submit(TrainRequest{Graph: "g"}, g, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestCanceledJobIsSkippedByWorker(t *testing.T) {
 func TestCancelReleasesQueueSlot(t *testing.T) {
 	const capacity = 3
 	m := newIdleManager(capacity)
-	g := graph.NewWithNodes(4, true)
+	g := graph.NewBuilder(4, true).Build()
 
 	ids := make([]string, 0, capacity)
 	for i := 0; i < capacity; i++ {
@@ -145,7 +145,7 @@ func TestRejectedSubmitDoesNotConsumeID(t *testing.T) {
 		metrics:  metrics,
 		logf:     discard,
 	})
-	g := graph.NewWithNodes(4, true)
+	g := graph.NewBuilder(4, true).Build()
 
 	first, err := m.Submit(TrainRequest{Graph: "g"}, g, "", "")
 	if err != nil {
@@ -184,7 +184,7 @@ func TestQueuedGaugeTracksQueue(t *testing.T) {
 		metrics:  metrics,
 		logf:     discard,
 	})
-	g := graph.NewWithNodes(4, true)
+	g := graph.NewBuilder(4, true).Build()
 	queued := metrics.Gauge("serve.jobs.queued")
 
 	a, _ := m.Submit(TrainRequest{Graph: "g"}, g, "", "")

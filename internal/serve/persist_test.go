@@ -18,17 +18,17 @@ import (
 // persistTestGraph mirrors the serve_test.go fixture: two hub stars
 // joined by a ring — enough structure to train on.
 func persistTestGraph() *graph.Graph {
-	g := graph.NewWithNodes(60, true)
+	b := graph.NewBuilder(60, true)
 	for v := 1; v < 20; v++ {
-		g.AddEdge(0, graph.NodeID(v), 0.8)
+		b.AddEdge(0, graph.NodeID(v), 0.8)
 	}
 	for v := 21; v < 40; v++ {
-		g.AddEdge(20, graph.NodeID(v), 0.8)
+		b.AddEdge(20, graph.NodeID(v), 0.8)
 	}
 	for v := 0; v < 60; v++ {
-		g.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%60), 0.3)
+		b.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%60), 0.3)
 	}
-	return g
+	return b.Build()
 }
 
 // newPersistManager returns a worker-less manager journaling into dir.

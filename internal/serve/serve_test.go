@@ -28,17 +28,17 @@ import (
 // joined by a ring, enough structure for training and scoring.
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	g := graph.NewWithNodes(60, true)
+	b := graph.NewBuilder(60, true)
 	for v := 1; v < 20; v++ {
-		g.AddEdge(0, graph.NodeID(v), 0.8)
+		b.AddEdge(0, graph.NodeID(v), 0.8)
 	}
 	for v := 21; v < 40; v++ {
-		g.AddEdge(20, graph.NodeID(v), 0.8)
+		b.AddEdge(20, graph.NodeID(v), 0.8)
 	}
 	for v := 0; v < 60; v++ {
-		g.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%60), 0.3)
+		b.AddEdge(graph.NodeID(v), graph.NodeID((v+1)%60), 0.3)
 	}
-	return g
+	return b.Build()
 }
 
 func edgeListBytes(t *testing.T, g *graph.Graph) []byte {
@@ -446,6 +446,32 @@ func TestUploadValidation(t *testing.T) {
 	}
 	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/train", []byte(`{"graph":"missing"}`), nil); code != 404 {
 		t.Fatalf("train on missing graph = %d, want 404", code)
+	}
+}
+
+// crashBodies are graph uploads whose claimed node counts dwarf their
+// size: an ID of 2³¹ (once a 51.5 GB allocation) and a nodes= header of
+// 300M (once 7.2 GB).
+var crashBodies = []string{
+	"# privim-edgelist nodes=3 directed=1\n0 2147483648\n",
+	"# privim-edgelist nodes=300000000 directed=1\n",
+}
+
+// TestGraphUploadNodeBound posts both crash bodies: each must get 400,
+// and the daemon must accept a valid upload afterwards.
+func TestGraphUploadNodeBound(t *testing.T) {
+	s := newTestServer(t, serve.Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	for _, body := range crashBodies {
+		if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/graphs/g", []byte(body), nil); code != 400 {
+			t.Fatalf("upload %q = %d, want 400", body, code)
+		}
+	}
+	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/graphs/g", edgeListBytes(t, testGraph(t)), nil); code != http.StatusCreated {
+		t.Fatalf("valid upload after refusals = %d, want 201", code)
 	}
 }
 

@@ -46,19 +46,19 @@ import (
 
 // Graph types.
 type (
-	// Graph is a directed weighted influence graph.
+	// Graph is a frozen directed weighted influence graph.
 	Graph = graph.Graph
+	// GraphBuilder accumulates nodes and edges for one Graph.
+	GraphBuilder = graph.Builder
 	// NodeID indexes nodes within a Graph.
 	NodeID = graph.NodeID
 	// Subgraph is a node-induced subgraph with parent-ID mapping.
 	Subgraph = graph.Subgraph
 )
 
-// NewGraph returns an empty graph; directed selects arc semantics.
-func NewGraph(directed bool) *Graph { return graph.New(directed) }
-
-// NewGraphWithNodes returns a graph with n isolated nodes.
-func NewGraphWithNodes(n int, directed bool) *Graph { return graph.NewWithNodes(n, directed) }
+// NewGraphBuilder returns a builder for a graph with n isolated nodes;
+// directed selects arc semantics. Add edges, then Build the frozen Graph.
+func NewGraphBuilder(n int, directed bool) *GraphBuilder { return graph.NewBuilder(n, directed) }
 
 // Dataset types.
 type (

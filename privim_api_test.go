@@ -81,10 +81,11 @@ func TestPublicAPIAccounting(t *testing.T) {
 }
 
 func TestPublicAPISolversAndMetrics(t *testing.T) {
-	g := privim.NewGraphWithNodes(6, true)
+	b := privim.NewGraphBuilder(6, true)
 	for v := 1; v < 6; v++ {
-		g.AddEdge(0, privim.NodeID(v), 1)
+		b.AddEdge(0, privim.NodeID(v), 1)
 	}
+	g := b.Build()
 	if top := privim.TopKScores([]float64{0.9, 0.1, 0.5}, 1); len(top) != 1 || top[0] != 0 {
 		t.Fatalf("TopKScores = %v", top)
 	}
