@@ -322,7 +322,7 @@ func BenchmarkDPSGDIteration(b *testing.B) {
 func BenchmarkTrainNoObserver(b *testing.B) {
 	if n := testing.AllocsPerRun(1000, func() {
 		obs.Emit(nil, obs.IterationEnd{Iter: 1, Loss: 0.5, GradNorm: 2})
-		obs.StartSpan(nil, "bench").Child("inner").End()
+		obs.StartSpanCtx(context.Background(), nil, "bench").Child("inner").End()
 	}); n != 0 {
 		b.Fatalf("nil-observer emit allocates %v per op, want 0", n)
 	}

@@ -33,7 +33,6 @@ const (
 	opLeaf opcode = iota
 	opMatMul
 	opAdd
-	opSub
 	opMul
 	opScale
 	opAddScalar
@@ -179,9 +178,6 @@ func (t *Tape) Leaf(m *tensor.Matrix) *Node {
 	return t.add(opLeaf, m, nil, nil)
 }
 
-// Tape returns the tape the node is recorded on.
-func (n *Node) Tape() *Tape { return n.tape }
-
 // grad returns the node's gradient accumulator, allocating on first use.
 func (n *Node) grad() *tensor.Matrix {
 	if n.Grad == nil {
@@ -221,9 +217,6 @@ func (n *Node) step() {
 	case opAdd:
 		tensor.AXPY(n.x.grad(), 1, n.Grad)
 		tensor.AXPY(n.y.grad(), 1, n.Grad)
-	case opSub:
-		tensor.AXPY(n.x.grad(), 1, n.Grad)
-		tensor.AXPY(n.y.grad(), -1, n.Grad)
 	case opMul:
 		ga, gb := n.x.grad(), n.y.grad()
 		av, bv := n.x.Value.Data, n.y.Value.Data
@@ -382,17 +375,6 @@ func Add(a, b *Node) *Node {
 	return t.add(opAdd, val, a, b)
 }
 
-// Sub returns a−b elementwise.
-func Sub(a, b *Node) *Node {
-	t := sameTape("Sub", a, b)
-	val := t.take(a.Value.Rows, a.Value.Cols, false)
-	bd := b.Value.Data
-	for i, v := range a.Value.Data {
-		val.Data[i] = v - bd[i]
-	}
-	return t.add(opSub, val, a, b)
-}
-
 // Mul returns the Hadamard product a∘b.
 func Mul(a, b *Node) *Node {
 	t := sameTape("Mul", a, b)
@@ -540,12 +522,6 @@ func Sum(a *Node) *Node {
 	val := a.tape.take(1, 1, false)
 	val.Data[0] = a.Value.Sum()
 	return a.tape.add(opSum, val, a, nil)
-}
-
-// Mean reduces a to a 1×1 scalar (Σa)/len(a).
-func Mean(a *Node) *Node {
-	n := float64(len(a.Value.Data))
-	return Scale(Sum(a), 1/n)
 }
 
 // ConcatCols returns [a | b]: rows must match.

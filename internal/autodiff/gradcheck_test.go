@@ -72,8 +72,6 @@ func TestGradAddSubMul(t *testing.T) {
 	a, b := randMat(2, 3, rng), randMat(2, 3, rng)
 	checkGrad(t, "Add", []*tensor.Matrix{a, b},
 		func(tp *Tape, l []*Node) *Node { return Sum(Mul(Add(l[0], l[1]), l[1])) })
-	checkGrad(t, "Sub", []*tensor.Matrix{a, b},
-		func(tp *Tape, l []*Node) *Node { return Sum(Mul(Sub(l[0], l[1]), l[0])) })
 }
 
 func TestGradScaleAddScalarOneMinus(t *testing.T) {
@@ -141,12 +139,6 @@ func TestLogClampsAtFloor(t *testing.T) {
 			t.Fatalf("grad[%d] = %v below floor, want 0", i, g)
 		}
 	}
-}
-
-func TestGradMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	checkGrad(t, "Mean", []*tensor.Matrix{randMat(4, 2, rng)},
-		func(tp *Tape, l []*Node) *Node { return Mean(Mul(l[0], l[0])) })
 }
 
 func TestGradConcatCols(t *testing.T) {

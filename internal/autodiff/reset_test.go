@@ -16,7 +16,7 @@ func pass(tp *Tape, wMat, xMat *tensor.Matrix, adj *SparseMat) (float64, []float
 	h = SpMM(adj, h)
 	h = Attention(h, []*Node{tp.Leaf(attnHead(0)), tp.Leaf(attnHead(1))}, adj.Dst, adj.Src, adj.Src, 0.2)
 	s := Sigmoid(h)
-	loss := Mean(Mul(s, OneMinus(s)))
+	loss := Sum(Mul(s, OneMinus(s)))
 	tp.Backward(loss)
 	grad := make([]float64, len(w.Grad.Data))
 	copy(grad, w.Grad.Data)
@@ -79,14 +79,14 @@ func TestTapeResetSteadyStateZeroAlloc(t *testing.T) {
 			w := tp.Leaf(wMat)
 			x := tp.Leaf(xMat)
 			h := SpMM(adj, ReLU(MatMul(x, w)))
-			tp.Backward(Mean(Sigmoid(h)))
+			tp.Backward(Sum(Sigmoid(h)))
 		},
 		"attention": func(tp *Tape) {
 			w := tp.Leaf(wMat)
 			x := tp.Leaf(xMat)
 			heads[0], heads[1] = tp.Leaf(a0), tp.Leaf(a1)
 			h := Attention(MatMul(x, w), heads[:], adj.Dst, adj.Src, adj.Src, 0.2)
-			tp.Backward(Mean(Sigmoid(ReLU(h))))
+			tp.Backward(Sum(Sigmoid(ReLU(h))))
 		},
 	}
 	for name, run := range cases {

@@ -103,22 +103,6 @@ func InAdjacency(g *graph.Graph) *SparseMat {
 	return &SparseMat{NumRows: n, NumCols: n, Dst: dst, Src: src, W: w}
 }
 
-// OutAdjacency builds A with A[u][v] = w(u→v) for each arc u→v: SpMM(A, H)
-// aggregates each node's out-neighbors.
-func OutAdjacency(g *graph.Graph) *SparseMat {
-	n := g.NumNodes()
-	var dst, src []int32
-	var w []float64
-	for u := 0; u < n; u++ {
-		for _, a := range g.Out(graph.NodeID(u)) {
-			dst = append(dst, int32(u))
-			src = append(src, int32(a.To))
-			w = append(w, a.Weight)
-		}
-	}
-	return &SparseMat{NumRows: n, NumCols: n, Dst: dst, Src: src, W: w}
-}
-
 // GCNNormalized builds the symmetric-normalized aggregation matrix
 // Â[u][v] = 1/√(d̂_u·d̂_v) over in-arcs plus self loops, the GCN propagation
 // rule (Appendix G, Eq. 31-32).

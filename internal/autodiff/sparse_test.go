@@ -32,21 +32,6 @@ func TestInAdjacency(t *testing.T) {
 	}
 }
 
-func TestOutAdjacency(t *testing.T) {
-	g := chainGraph()
-	a := OutAdjacency(g)
-	tp := NewTape()
-	x := tp.Leaf(tensor.FromSlice(3, 1, []float64{1, 1, 1}))
-	y := SpMM(a, x)
-	// Node 0 sends to 1 (0.5) and 2 (1) => aggregates 1.5 from out-neighbors.
-	want := []float64{1.5, 0.25, 0}
-	for i, w := range want {
-		if math.Abs(y.Value.Data[i]-w) > 1e-12 {
-			t.Fatalf("OutAdjacency aggregate[%d] = %v, want %v", i, y.Value.Data[i], w)
-		}
-	}
-}
-
 func TestGCNNormalized(t *testing.T) {
 	g := chainGraph()
 	a := GCNNormalized(g)

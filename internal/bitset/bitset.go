@@ -83,13 +83,6 @@ func (s *Set) CountOrWith(o *Set) int {
 	return c
 }
 
-// Clone returns a deep copy.
-func (s *Set) Clone() *Set {
-	c := New(s.n)
-	copy(c.words, s.words)
-	return c
-}
-
 // Clear resets all bits.
 func (s *Set) Clear() {
 	for i := range s.words {

@@ -102,19 +102,6 @@ func TestMismatchedCapacityPanics(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := New(64)
-	a.Add(5)
-	c := a.Clone()
-	c.Add(6)
-	if a.Contains(6) {
-		t.Fatal("clone shares storage")
-	}
-	if !c.Contains(5) {
-		t.Fatal("clone lost bits")
-	}
-}
-
 // Property: Count(a ∪ b) == |set-union of indices| for random sets.
 func TestOrCountProperty(t *testing.T) {
 	f := func(seed int64) bool {

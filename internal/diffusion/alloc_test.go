@@ -48,6 +48,33 @@ func TestEstimateSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEstimateWidthSteadyStateAllocs extends the serial floor to pool
+// widths 2, 4 and 8: a warm Estimate costs at most parallel.For's 3 + 2w
+// per call, so nothing per round or per worker slot escapes the pools.
+func TestEstimateWidthSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc floors do not hold under -race (sync.Pool drops Puts)")
+	}
+	g := allocTestGraph()
+	seeds := []graph.NodeID{0, 50, 100}
+	for _, tc := range []struct {
+		name  string
+		model Model
+	}{
+		{"ic", &IC{G: g}},
+		{"lt", &LT{G: g}},
+		{"sis", &SIS{G: g, Recovery: 0.3, Steps: 10}},
+	} {
+		for _, w := range []int{2, 4, 8} {
+			run := func() { Estimate(context.Background(), tc.model, seeds, 50, 7, Options{Workers: w}) }
+			run() // warm the pools at this width
+			if got, want := testing.AllocsPerRun(10, run), 3+2*w; got > float64(want) {
+				t.Errorf("Estimate(%s) at width %d allocates %v objects/op after warm-up, want <= %d", tc.name, w, got, want)
+			}
+		}
+	}
+}
+
 // TestEstimateWorkerInvariant re-checks bit-equality of the pooled
 // estimate path across pool widths: pooled scratch is keyed by worker
 // slot and RNG streams by round index, so the width must not matter.

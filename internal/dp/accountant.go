@@ -1,6 +1,7 @@
 // Package dp implements the differential-privacy machinery of PrivIM:
-// noise mechanisms (Gaussian, Laplace, and the symmetric multivariate
-// Laplace used by the HP baseline), the node-level sensitivity bounds of
+// noise mechanisms (Laplace sampling and the symmetric multivariate
+// Laplace used by the HP baseline; DP-SGD's Gaussian noise is added by
+// nn.Grads.AddGaussianNoise), the node-level sensitivity bounds of
 // Lemmas 1–2, the Rényi-DP accountant of Theorem 3 (a binomial mixture of
 // subsampled Gaussians, computed in log space), the RDP→(ε,δ) conversion of
 // Theorem 1, and binary-search calibration of the noise multiplier σ for a
@@ -168,11 +169,20 @@ func (a Accountant) Epsilon(T int, delta float64) float64 {
 // CalibrateSigma returns the smallest noise multiplier σ (within rel. tol.
 // 1e-3) such that T iterations satisfy (ε, δ)-DP for the given sampling
 // setup. It binary searches on σ, using that ε is monotonically decreasing
-// in σ. Returns an error if even an enormous σ cannot meet the target
-// (which indicates an infeasible configuration).
+// in σ. Returns an error for an invalid setup (ε ≤ 0, T < 1, δ outside
+// (0, 1), or M, B, Ng failing Accountant.Validate) or if even an enormous
+// σ cannot meet the target (which indicates an infeasible configuration).
 func CalibrateSigma(targetEps, delta float64, T, B, M, Ng int) (float64, error) {
-	if targetEps <= 0 {
+	switch {
+	case !(targetEps > 0):
 		return 0, fmt.Errorf("dp: target epsilon %v <= 0", targetEps)
+	case T < 1:
+		return 0, fmt.Errorf("dp: iterations T = %d < 1", T)
+	case !(delta > 0 && delta < 1):
+		return 0, fmt.Errorf("dp: delta %v outside (0, 1)", delta)
+	}
+	if err := (Accountant{M: M, B: B, Ng: Ng, Sigma: 1}).Validate(); err != nil {
+		return 0, err
 	}
 	lo, hi := 1e-3, 1.0
 	// One curve and one mixture-term buffer serve every σ probe: the search
@@ -185,12 +195,6 @@ func CalibrateSigma(targetEps, delta float64, T, B, M, Ng int) (float64, error) 
 	curve := make([]float64, len(alphaGrid))
 	epsAt := func(sigma float64) float64 {
 		acc := Accountant{M: M, B: B, Ng: Ng, Sigma: sigma}
-		if err := acc.Validate(); err != nil {
-			panic(err)
-		}
-		if T < 1 {
-			panic(fmt.Sprintf("dp: Epsilon T = %d < 1", T))
-		}
 		for i, alpha := range alphaGrid {
 			curve[i] = acc.rdp(alpha, terms) * float64(T)
 		}
@@ -230,17 +234,4 @@ func NodeSensitivity(clipBound float64, ng int) float64 {
 		panic(fmt.Sprintf("dp: NodeSensitivity(C=%v, Ng=%d) invalid", clipBound, ng))
 	}
 	return clipBound * float64(ng)
-}
-
-// EdgeSensitivity returns the edge-level analogue of Lemma 2: removing one
-// edge perturbs only subgraphs containing both endpoints, bounded by the
-// smaller of the two endpoint occurrence bounds — with a shared occurrence
-// cap this is again occ, so Δ = C·occ with occ the per-edge co-occurrence
-// bound (the sampler audits it empirically). Exposed for the paper's
-// edge-level DP extension.
-func EdgeSensitivity(clipBound float64, occ int) float64 {
-	if clipBound <= 0 || occ < 1 {
-		panic(fmt.Sprintf("dp: EdgeSensitivity(C=%v, occ=%d) invalid", clipBound, occ))
-	}
-	return clipBound * float64(occ)
 }

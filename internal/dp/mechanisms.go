@@ -6,36 +6,9 @@ import (
 	"math/rand"
 )
 
-// GaussianNoise fills dst with independent N(0, scale²) samples added to
-// the existing values (the Gaussian mechanism's perturbation step).
-func GaussianNoise(dst []float64, scale float64, rng *rand.Rand) {
-	if scale < 0 {
-		panic(fmt.Sprintf("dp: GaussianNoise scale %v < 0", scale))
-	}
-	if scale == 0 {
-		return
-	}
-	for i := range dst {
-		dst[i] += rng.NormFloat64() * scale
-	}
-}
-
-// LaplaceNoise adds independent Laplace(0, b) samples to dst; b is the
-// scale Δf/ε of the classical Laplace mechanism (Example 2 of the paper
-// uses it to show why noisy greedy fails).
-func LaplaceNoise(dst []float64, b float64, rng *rand.Rand) {
-	if b < 0 {
-		panic(fmt.Sprintf("dp: LaplaceNoise scale %v < 0", b))
-	}
-	if b == 0 {
-		return
-	}
-	for i := range dst {
-		dst[i] += SampleLaplace(b, rng)
-	}
-}
-
-// SampleLaplace draws one Laplace(0, b) variate by inverse transform.
+// SampleLaplace draws one Laplace(0, b) variate by inverse transform; b
+// is the scale Δf/ε of the classical Laplace mechanism (Example 2 of the
+// paper uses it to show why noisy greedy fails).
 func SampleLaplace(b float64, rng *rand.Rand) float64 {
 	u := rng.Float64() - 0.5
 	if u >= 0 {

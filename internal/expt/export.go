@@ -1,97 +1,16 @@
 package expt
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"time"
 )
 
-// This file provides machine-readable exports of the experiment results so
-// plots and downstream analyses don't have to re-parse the human-readable
-// tables.
-
-// WriteSpreadCSV exports Figure 5 points as CSV.
-func WriteSpreadCSV(w io.Writer, points []SpreadPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "method", "epsilon", "spread", "std", "celf_spread"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		eps := "inf"
-		if !math.IsInf(p.Epsilon, 1) {
-			eps = strconv.FormatFloat(p.Epsilon, 'g', -1, 64)
-		}
-		rec := []string{
-			string(p.Dataset), string(p.Mode), eps,
-			fmtF(p.Spread), fmtF(p.Std), fmtF(p.CELFSpread),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteParamCSV exports Figure 6/7 parameter-sweep points as CSV.
-func WriteParamCSV(w io.Writer, points []ParamPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "n", "m", "spread"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{string(p.Dataset), strconv.Itoa(p.N), strconv.Itoa(p.M), fmtF(p.Spread)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteIndicatorCSV exports Figure 8/12/15 indicator points as CSV.
-func WriteIndicatorCSV(w io.Writer, points []IndicatorPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dataset", "n", "m", "epsilon", "indicator", "spread"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			string(p.Dataset), strconv.Itoa(p.N), strconv.Itoa(p.M),
-			fmtF(p.Epsilon), fmtF(p.Indicator), fmtF(p.Spread),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTimingCSV exports Table III rows as CSV with second-valued columns.
-func WriteTimingCSV(w io.Writer, rows []TimingRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"method", "dataset", "preprocess_s", "per_epoch_s"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			string(r.Mode), string(r.Dataset),
-			fmtF(r.Preprocess.Seconds()), fmtF(r.PerEpoch.Seconds()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+// This file provides the machine-readable JSON export of the experiment
+// results so plots and downstream analyses don't have to re-parse the
+// human-readable tables.
 
 // SuiteResult aggregates one full-suite run for JSON export.
 type SuiteResult struct {

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"math"
 	"strings"
@@ -12,58 +11,6 @@ import (
 	"privim/internal/dataset"
 	"privim/internal/privim"
 )
-
-func TestWriteSpreadCSV(t *testing.T) {
-	points := []SpreadPoint{
-		{Mode: privim.ModeDual, Dataset: dataset.Email, Epsilon: 3, Spread: 10.5, Std: 1, CELFSpread: 12},
-		{Mode: privim.ModeNonPrivate, Dataset: dataset.Email, Epsilon: math.Inf(1), Spread: 11, CELFSpread: 12},
-	}
-	var buf bytes.Buffer
-	if err := WriteSpreadCSV(&buf, points); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want header + 2", len(recs))
-	}
-	if recs[1][2] != "3" {
-		t.Fatalf("epsilon column = %q", recs[1][2])
-	}
-	if recs[2][2] != "inf" {
-		t.Fatalf("non-private epsilon = %q, want inf", recs[2][2])
-	}
-}
-
-func TestWriteParamAndIndicatorCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteParamCSV(&buf, []ParamPoint{{Dataset: dataset.LastFM, N: 20, M: 4, Spread: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "lastfm,20,4,5") {
-		t.Fatalf("param CSV missing row: %q", buf.String())
-	}
-	buf.Reset()
-	if err := WriteIndicatorCSV(&buf, []IndicatorPoint{{Dataset: dataset.HepPh, N: 20, M: 4, Epsilon: 3, Indicator: 0.8, Spread: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "hepph,20,4,3,0.8,9") {
-		t.Fatalf("indicator CSV missing row: %q", buf.String())
-	}
-}
-
-func TestWriteTimingCSV(t *testing.T) {
-	var buf bytes.Buffer
-	rows := []TimingRow{{Mode: privim.ModeDual, Dataset: dataset.Email, Preprocess: 1500 * time.Millisecond, PerEpoch: 250 * time.Millisecond}}
-	if err := WriteTimingCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "privim*,email,1.5,0.25") {
-		t.Fatalf("timing CSV wrong: %q", buf.String())
-	}
-}
 
 func TestSuiteResultJSON(t *testing.T) {
 	s := &SuiteResult{

@@ -254,27 +254,6 @@ func RunFig8(s Settings, eps float64, n int, mGrid []int, w io.Writer) ([]Indica
 	return points, nil
 }
 
-// IndicatorAgreement summarizes Figure 8's qualitative claim over a point
-// series: the Spearman rank correlation between the indicator and the
-// empirical spread, grouped by dataset. Values near +1 mean the indicator
-// curve tracks the measured curve.
-func IndicatorAgreement(points []IndicatorPoint) map[dataset.Preset]float64 {
-	byDS := make(map[dataset.Preset][][2]float64)
-	for _, pt := range points {
-		byDS[pt.Dataset] = append(byDS[pt.Dataset], [2]float64{pt.Indicator, pt.Spread})
-	}
-	out := make(map[dataset.Preset]float64, len(byDS))
-	for ds, pairs := range byDS {
-		ind := make([]float64, len(pairs))
-		emp := make([]float64, len(pairs))
-		for i, p := range pairs {
-			ind[i], emp[i] = p[0], p[1]
-		}
-		out[ds] = stats.Spearman(ind, emp)
-	}
-	return out
-}
-
 // GNNPoint is one Figure 9 bar: architecture × dataset × ε.
 type GNNPoint struct {
 	Kind     gnn.Kind

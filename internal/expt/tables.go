@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -141,9 +140,4 @@ func RunTableIII(s Settings, w io.Writer) ([]TimingRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// FormatDuration renders a duration in the paper's seconds style.
-func FormatDuration(d time.Duration) string {
-	return fmt.Sprintf("%.3fs", d.Seconds())
 }

@@ -82,7 +82,7 @@ func lossAndGrads(m *Model, g *graph.Graph, x *tensor.Matrix,
 	tp := autodiff.NewTape()
 	bound := nn.Bind(tp, m.Params)
 	out := forward(tp, bound)
-	loss := IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3})
+	loss := IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}, autodiff.InAdjacency(g))
 	tp.Backward(loss)
 	grads := nn.NewGrads(m.Params)
 	nn.Collect(bound, grads)

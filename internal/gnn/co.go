@@ -136,36 +136,6 @@ func GreedyMaxCover(g *graph.Graph, k int) []graph.NodeID {
 	return chosen
 }
 
-// MaxCutLoss builds the penalty loss for maximum cut: partition nodes into
-// two sides (x_u ≈ 1 vs ≈ 0) to maximize the number of edges crossing.
-//
-//	L = −Σ_{(u,v)∈E} [x_u(1−x_v) + x_v(1−x_u)]
-//
-// Minimizing L maximizes the expected cut under independent rounding.
-func MaxCutLoss(tp *autodiff.Tape, g *graph.Graph, scores *autodiff.Node) *autodiff.Node {
-	if scores.Value.Cols != 1 || scores.Value.Rows != g.NumNodes() {
-		panic(fmt.Sprintf("gnn: MaxCutLoss scores %dx%d for %d-node graph",
-			scores.Value.Rows, scores.Value.Cols, g.NumNodes()))
-	}
-	edges := g.Edges()
-	if len(edges) == 0 {
-		return autodiff.Sum(autodiff.Scale(scores, 0))
-	}
-	us := make([]int32, len(edges))
-	vs := make([]int32, len(edges))
-	for i, e := range edges {
-		us[i] = int32(e.From)
-		vs[i] = int32(e.To)
-	}
-	xu := autodiff.GatherRows(scores, us)
-	xv := autodiff.GatherRows(scores, vs)
-	cross := autodiff.Add(
-		autodiff.Mul(xu, autodiff.OneMinus(xv)),
-		autodiff.Mul(xv, autodiff.OneMinus(xu)),
-	)
-	return autodiff.Scale(autodiff.Sum(cross), -1)
-}
-
 // CutValue counts edges crossing the partition defined by side (true =
 // side A).
 func CutValue(g *graph.Graph, side []bool) int {

@@ -7,7 +7,6 @@ import (
 
 	"privim/internal/autodiff"
 	"privim/internal/graph"
-	"privim/internal/nn"
 	"privim/internal/tensor"
 )
 
@@ -105,33 +104,6 @@ func TestGreedyMaxCover(t *testing.T) {
 	}
 }
 
-func TestMaxCutLoss(t *testing.T) {
-	// Single edge: best split puts endpoints on opposite sides.
-	gb := graph.NewBuilder(2, true)
-	gb.AddEdge(0, 1, 1)
-	g := gb.Build()
-	tp := autodiff.NewTape()
-	x := tp.Leaf(tensor.FromSlice(2, 1, []float64{1, 0}))
-	l := MaxCutLoss(tp, g, x)
-	if math.Abs(l.Value.Data[0]+1) > 1e-12 {
-		t.Fatalf("cut loss for perfect split = %v, want -1", l.Value.Data[0])
-	}
-	// Same side: loss 0.
-	tp2 := autodiff.NewTape()
-	same := tp2.Leaf(tensor.FromSlice(2, 1, []float64{1, 1}))
-	l2 := MaxCutLoss(tp2, g, same)
-	if math.Abs(l2.Value.Data[0]) > 1e-12 {
-		t.Fatalf("cut loss same side = %v, want 0", l2.Value.Data[0])
-	}
-	// Edgeless graph: zero loss, no panic.
-	tp3 := autodiff.NewTape()
-	empty := graph.NewBuilder(3, true).Build()
-	z := tp3.Leaf(tensor.New(3, 1))
-	if MaxCutLoss(tp3, empty, z).Value.Data[0] != 0 {
-		t.Fatal("edgeless cut loss should be 0")
-	}
-}
-
 func TestCutValue(t *testing.T) {
 	b := graph.NewBuilder(4, true)
 	b.AddEdge(0, 1, 1)
@@ -146,46 +118,6 @@ func TestCutValue(t *testing.T) {
 	}
 }
 
-// Training a GNN with MaxCutLoss on a bipartite-ish graph should find a
-// large cut.
-func TestMaxCutTraining(t *testing.T) {
-	// Complete bipartite K3,3: max cut = 9 with the bipartition.
-	b := graph.NewBuilder(6, false)
-	for u := 0; u < 3; u++ {
-		for v := 3; v < 6; v++ {
-			b.AddEdge(graph.NodeID(u), graph.NodeID(v), 1)
-		}
-	}
-	g := b.Build()
-	rng := rand.New(rand.NewSource(6))
-	m, err := New(Config{Kind: GCN, InputDim: 2, HiddenDim: 8, Layers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Init(rng)
-	x := tensor.New(6, 2)
-	x.RandUniform(1, rng)
-	opt := nn.NewAdam(m.Params, 0.05)
-	grads := nn.NewGrads(m.Params)
-	for epoch := 0; epoch < 300; epoch++ {
-		tp := autodiff.NewTape()
-		bound := nn.Bind(tp, m.Params)
-		scores := m.Forward(tp, bound, g, x, m.NewPrep(g))
-		loss := MaxCutLoss(tp, g, scores)
-		tp.Backward(loss)
-		nn.Collect(bound, grads)
-		opt.Step(grads)
-	}
-	scores := score(m, g, x)
-	side := make([]bool, 6)
-	for v, s := range scores {
-		side[v] = s > 0.5
-	}
-	if got := CutValue(g, side); got < 8 {
-		t.Fatalf("learned cut = %d, want >= 8 of 9", got)
-	}
-}
-
 func TestMaxCoverLossPanics(t *testing.T) {
 	g := tinyGraph()
 	tp := autodiff.NewTape()
@@ -194,7 +126,6 @@ func TestMaxCoverLossPanics(t *testing.T) {
 		func() { MaxCoverLoss(tp, g, x, 0, 1) },
 		func() { MaxCoverLoss(tp, g, x, 1, -1) },
 		func() { MaxCoverLoss(tp, g, tp.Leaf(tensor.New(2, 1)), 1, 1) },
-		func() { MaxCutLoss(tp, g, tp.Leaf(tensor.New(2, 1))) },
 	} {
 		func() {
 			defer func() {

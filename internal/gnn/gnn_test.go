@@ -87,13 +87,13 @@ func TestAllKindsGradCheck(t *testing.T) {
 				tp := autodiff.NewTape()
 				bound := nn.Bind(tp, m.Params)
 				out := m.Forward(tp, bound, g, x, m.NewPrep(g))
-				return IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}).Value.Data[0]
+				return IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}, autodiff.InAdjacency(g)).Value.Data[0]
 			}
 
 			tp := autodiff.NewTape()
 			bound := nn.Bind(tp, m.Params)
 			out := m.Forward(tp, bound, g, x, m.NewPrep(g))
-			loss := IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3})
+			loss := IMLoss(tp, g, out, LossConfig{Steps: 2, Lambda: 0.3}, autodiff.InAdjacency(g))
 			tp.Backward(loss)
 			grads := nn.NewGrads(m.Params)
 			nn.Collect(bound, grads)
@@ -129,7 +129,7 @@ func TestIMLossValidation(t *testing.T) {
 				t.Error("expected panic for wrong score shape")
 			}
 		}()
-		IMLoss(tp, g, bad, LossConfig{Steps: 1})
+		IMLoss(tp, g, bad, LossConfig{Steps: 1}, autodiff.InAdjacency(g))
 	}()
 	ok := tp.Leaf(tensor.New(g.NumNodes(), 1))
 	func() {
@@ -138,7 +138,7 @@ func TestIMLossValidation(t *testing.T) {
 				t.Error("expected panic for steps < 1")
 			}
 		}()
-		IMLoss(tp, g, ok, LossConfig{Steps: 0})
+		IMLoss(tp, g, ok, LossConfig{Steps: 0}, autodiff.InAdjacency(g))
 	}()
 }
 
@@ -149,7 +149,7 @@ func TestIMLossExtremes(t *testing.T) {
 	// All-zero seed probabilities: coverage term = n, penalty = 0.
 	tp := autodiff.NewTape()
 	zero := tp.Leaf(tensor.New(n, 1))
-	l0 := IMLoss(tp, g, zero, LossConfig{Steps: 1, Lambda: 0.5})
+	l0 := IMLoss(tp, g, zero, LossConfig{Steps: 1, Lambda: 0.5}, autodiff.InAdjacency(g))
 	if math.Abs(l0.Value.Data[0]-float64(n)) > 1e-9 {
 		t.Fatalf("loss at x=0 is %v, want %d", l0.Value.Data[0], n)
 	}
@@ -161,7 +161,7 @@ func TestIMLossExtremes(t *testing.T) {
 	onesM := tensor.New(n, 1)
 	onesM.Fill(1)
 	one := tp2.Leaf(onesM)
-	l1 := IMLoss(tp2, g, one, LossConfig{Steps: 1, Lambda: 0.5})
+	l1 := IMLoss(tp2, g, one, LossConfig{Steps: 1, Lambda: 0.5}, autodiff.InAdjacency(g))
 	want := 4*(1-math.Tanh(1)) + (1 - math.Tanh(0.5)) + 0.5*float64(n)
 	if math.Abs(l1.Value.Data[0]-want) > 1e-9 {
 		t.Fatalf("loss at x=1 is %v, want %v", l1.Value.Data[0], want)
@@ -178,7 +178,7 @@ func TestIMLossSeedingHubHelps(t *testing.T) {
 		x := tensor.New(n, 1)
 		x.Data[seedIdx] = 0.9
 		s := tp.Leaf(x)
-		return IMLoss(tp, g, s, LossConfig{Steps: 1, Lambda: 0.1}).Value.Data[0]
+		return IMLoss(tp, g, s, LossConfig{Steps: 1, Lambda: 0.1}, autodiff.InAdjacency(g)).Value.Data[0]
 	}
 	hub, leaf := lossFor(0), lossFor(3)
 	if hub >= leaf {
@@ -223,7 +223,7 @@ func TestTrainingRanksHubFirst(t *testing.T) {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
 		out := m.Forward(tp, bound, g, x, m.NewPrep(g))
-		loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.5})
+		loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.5}, autodiff.InAdjacency(g))
 		tp.Backward(loss)
 		nn.Collect(bound, grads)
 		opt.Step(grads)
@@ -295,12 +295,12 @@ func TestMultiHeadGradCheck(t *testing.T) {
 		tp := autodiff.NewTape()
 		bound := nn.Bind(tp, m.Params)
 		out := m.Forward(tp, bound, g, x, m.NewPrep(g))
-		return IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2}).Value.Data[0]
+		return IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2}, autodiff.InAdjacency(g)).Value.Data[0]
 	}
 	tp := autodiff.NewTape()
 	bound := nn.Bind(tp, m.Params)
 	out := m.Forward(tp, bound, g, x, m.NewPrep(g))
-	loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2})
+	loss := IMLoss(tp, g, out, LossConfig{Steps: 1, Lambda: 0.2}, autodiff.InAdjacency(g))
 	tp.Backward(loss)
 	grads := nn.NewGrads(m.Params)
 	nn.Collect(bound, grads)
@@ -335,4 +335,38 @@ func TestForwardShapePanic(t *testing.T) {
 		}
 	}()
 	m.Forward(tp, bound, g, tensor.New(g.NumNodes(), 2), m.NewPrep(g))
+}
+
+// ExpectedSpreadUpperBound returns the Theorem 2 / Eq. 4 upper bound
+// P̂_j(S) on total influence spread for a fixed (non-differentiable) score
+// vector, evaluated with the same φ as IMLoss.
+func ExpectedSpreadUpperBound(g *graph.Graph, scores []float64, steps int) float64 {
+	if steps < 1 {
+		panic("gnn: ExpectedSpreadUpperBound steps < 1")
+	}
+	n := g.NumNodes()
+	act := append([]float64(nil), scores...)
+	survival := make([]float64, n)
+	for u := range survival {
+		survival[u] = 1 - scores[u]
+	}
+	next := make([]float64, n)
+	for i := 0; i < steps; i++ {
+		for u := 0; u < n; u++ {
+			sum := 0.0
+			for _, a := range g.In(graph.NodeID(u)) {
+				sum += a.Weight * act[a.To]
+			}
+			next[u] = math.Tanh(sum)
+		}
+		for u := 0; u < n; u++ {
+			survival[u] *= 1 - next[u]
+		}
+		act, next = next, act
+	}
+	total := 0.0
+	for _, s := range survival {
+		total += 1 - s
+	}
+	return total
 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,4 +86,48 @@ func TestBooleBoundValidation(t *testing.T) {
 		}
 	}()
 	BooleActivationBound(g, []float64{1})
+}
+
+// BooleActivationBound returns, for every node, the Theorem 2 / Lemma 7
+// upper bound on the 1-step IC activation probability with the exact
+// Boole-inequality form φ(x) = min(x, 1):
+//
+//	p̂(u) = min(Σ_{v∈N(u)} w_vu·x_v, 1) ≥ 1 − Π_{v∈N(u)} (1 − w_vu·x_v)
+//
+// where x_v ∈ [0,1] is the probability node v is active. The training loss
+// uses a smooth φ (tanh) instead; this test oracle keeps the paper's exact
+// bound to check Theorem 2 against.
+func BooleActivationBound(g *graph.Graph, active []float64) []float64 {
+	n := g.NumNodes()
+	if len(active) != n {
+		panic(fmt.Sprintf("gnn: BooleActivationBound got %d activations for %d nodes", len(active), n))
+	}
+	out := make([]float64, n)
+	for u := 0; u < n; u++ {
+		sum := 0.0
+		for _, a := range g.In(graph.NodeID(u)) {
+			sum += a.Weight * active[a.To]
+		}
+		if sum > 1 {
+			sum = 1
+		}
+		out[u] = sum
+	}
+	return out
+}
+
+// ExactOneStepActivation returns the true probability each node is
+// activated by one IC step from independent per-node activation
+// probabilities: p(u) = 1 − Π_{v∈N(u)} (1 − w_vu·x_v).
+func ExactOneStepActivation(g *graph.Graph, active []float64) []float64 {
+	n := g.NumNodes()
+	out := make([]float64, n)
+	for u := 0; u < n; u++ {
+		survive := 1.0
+		for _, a := range g.In(graph.NodeID(u)) {
+			survive *= 1 - a.Weight*active[a.To]
+		}
+		out[u] = 1 - survive
+	}
+	return out
 }

@@ -299,22 +299,6 @@ func TestBFSOrderDepth(t *testing.T) {
 	}
 }
 
-func TestWeaklyConnectedComponents(t *testing.T) {
-	b := NewBuilder(7, true)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(2, 1, 1) // weakly connects 2 to {0,1}
-	b.AddEdge(3, 4, 1)
-	g := b.Build()
-	// 5, 6 isolated
-	comps := WeaklyConnectedComponents(g)
-	if len(comps) != 4 {
-		t.Fatalf("got %d components, want 4", len(comps))
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 2 {
-		t.Fatalf("component sizes %d,%d want 3,2 (largest first)", len(comps[0]), len(comps[1]))
-	}
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	b := NewBuilder(4, true)
 	b.AddEdge(0, 1, 0.25)

@@ -2,22 +2,6 @@ package graph
 
 import "sort"
 
-// DegreeHistogram returns the out-degree distribution: hist[d] is the
-// number of nodes with out-degree d.
-func DegreeHistogram(g *Graph) []int {
-	maxDeg := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if d := g.OutDegree(NodeID(v)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	hist := make([]int, maxDeg+1)
-	for v := 0; v < g.NumNodes(); v++ {
-		hist[g.OutDegree(NodeID(v))]++
-	}
-	return hist
-}
-
 // ClusteringCoefficient returns the average local clustering coefficient
 // under the weak (undirected) view: for each node, the fraction of
 // neighbor pairs that are themselves connected. Nodes with fewer than two
@@ -65,25 +49,6 @@ func ClusteringCoefficient(g *Graph) float64 {
 		total += 2 * float64(links) / float64(k*(k-1))
 	}
 	return total / float64(n)
-}
-
-// Reciprocity returns the fraction of directed arcs u→v whose reverse arc
-// v→u also exists. Returns 0 for edgeless graphs; undirected graphs report
-// 1 by construction.
-func Reciprocity(g *Graph) float64 {
-	arcs, recip := 0, 0
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, a := range g.Out(NodeID(u)) {
-			arcs++
-			if g.HasEdge(a.To, NodeID(u)) {
-				recip++
-			}
-		}
-	}
-	if arcs == 0 {
-		return 0
-	}
-	return float64(recip) / float64(arcs)
 }
 
 // KCore returns each node's core number under the weak degree view: the
@@ -154,15 +119,4 @@ func KCore(g *Graph) []int {
 		}
 	}
 	return core
-}
-
-// Degeneracy returns the maximum core number of g (0 for empty graphs).
-func Degeneracy(g *Graph) int {
-	best := 0
-	for _, c := range KCore(g) {
-		if c > best {
-			best = c
-		}
-	}
-	return best
 }

@@ -7,25 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(4, true)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(0, 2, 1)
-	b.AddEdge(1, 2, 1)
-	g := b.Build()
-	hist := DegreeHistogram(g)
-	// deg 0: nodes 2, 3; deg 1: node 1; deg 2: node 0.
-	want := []int{2, 1, 1}
-	if len(hist) != 3 {
-		t.Fatalf("hist length %d, want 3", len(hist))
-	}
-	for i := range want {
-		if hist[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", hist, want)
-		}
-	}
-}
-
 func TestClusteringCoefficientTriangle(t *testing.T) {
 	// Complete triangle: every node's two neighbors are connected, C = 1.
 	gb := NewBuilder(3, false)
@@ -66,26 +47,6 @@ func TestClusteringDistinguishesWSFromER(t *testing.T) {
 	}
 }
 
-func TestReciprocity(t *testing.T) {
-	gb := NewBuilder(3, true)
-	gb.AddEdge(0, 1, 1)
-	gb.AddEdge(1, 0, 1) // reciprocated pair
-	gb.AddEdge(1, 2, 1) // one-way
-	g := gb.Build()
-	if r := Reciprocity(g); math.Abs(r-2.0/3) > 1e-12 {
-		t.Fatalf("reciprocity = %v, want 2/3", r)
-	}
-	if Reciprocity(NewBuilder(0, true).Build()) != 0 {
-		t.Fatal("edgeless reciprocity should be 0")
-	}
-	b := NewBuilder(2, false)
-	b.AddEdge(0, 1, 1)
-	u := b.Build()
-	if Reciprocity(u) != 1 {
-		t.Fatal("undirected reciprocity should be 1")
-	}
-}
-
 func TestKCoreKnownGraphs(t *testing.T) {
 	// K4 plus a pendant: K4 nodes have core 3, pendant core 1.
 	b := NewBuilder(5, false)
@@ -104,9 +65,6 @@ func TestKCoreKnownGraphs(t *testing.T) {
 	}
 	if core[4] != 1 {
 		t.Fatalf("pendant core = %d, want 1", core[4])
-	}
-	if Degeneracy(g) != 3 {
-		t.Fatalf("degeneracy = %d, want 3", Degeneracy(g))
 	}
 }
 
@@ -133,9 +91,6 @@ func TestKCoreEmptyAndIsolated(t *testing.T) {
 		if c != 0 {
 			t.Fatalf("isolated nodes must have core 0, got %v", KCore(g))
 		}
-	}
-	if Degeneracy(g) != 0 {
-		t.Fatal("isolated degeneracy should be 0")
 	}
 }
 

@@ -45,48 +45,3 @@ func BFSOrderDepth(g *Graph, v0 NodeID, maxDepth int) []NodeID {
 	}
 	return order
 }
-
-// WeaklyConnectedComponents returns the weakly connected components of g
-// (treating arcs as undirected), largest first.
-func WeaklyConnectedComponents(g *Graph) [][]NodeID {
-	n := g.NumNodes()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var comps [][]NodeID
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := len(comps)
-		comp[s] = id
-		queue := []NodeID{NodeID(s)}
-		var members []NodeID
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			members = append(members, u)
-			for _, a := range g.Out(u) {
-				if comp[a.To] < 0 {
-					comp[a.To] = id
-					queue = append(queue, a.To)
-				}
-			}
-			for _, a := range g.In(u) {
-				if comp[a.To] < 0 {
-					comp[a.To] = id
-					queue = append(queue, a.To)
-				}
-			}
-		}
-		comps = append(comps, members)
-	}
-	// Largest first (stable for determinism).
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && len(comps[j]) > len(comps[j-1]); j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
-		}
-	}
-	return comps
-}

@@ -33,6 +33,31 @@ func TestRRSetGenerationSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRRSetGenerationWidthSteadyStateAllocs extends the serial floor to
+// pool widths 2, 4 and 8: once every worker's draw arena and scratch is
+// grown, a batch costs at most parallel.For's 3 + 2w per call.
+func TestRRSetGenerationWidthSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc floors do not hold under -race (sync.Pool drops Puts)")
+	}
+	g := parallelTestGraph(t)
+	n := g.NumNodes()
+	for _, w := range []int{2, 4, 8} {
+		arena := &rrArena{}
+		scratch := parallel.NewScratch(func() *rrScratch { return newRRScratch(n) })
+		var locs []rrLoc
+		run := func() {
+			arena.reset()
+			locs, _, _ = generateRRSets(context.Background(), g, arena, 400, 0, 0, 11, w, scratch, locs, nil, "im.test.rrsets")
+		}
+		run() // warm: grows arena, every worker's scratch, and locs
+		run()
+		if got, want := testing.AllocsPerRun(10, run), 3+2*w; got > float64(want) {
+			t.Errorf("generateRRSets at width %d allocates %v objects/op after warm-up, want <= %d", w, got, want)
+		}
+	}
+}
+
 // TestRISSelectSteadyStateAllocs pins repeated Select calls on one RIS
 // solver: everything except the returned seed slice (caller-owned by
 // contract) is recycled through the solver's risState.

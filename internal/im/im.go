@@ -21,14 +21,6 @@ import (
 	"privim/internal/parallel"
 )
 
-// Solver selects a seed set of size k for a diffusion model.
-type Solver interface {
-	// Select returns k seed nodes (fewer if the graph is smaller).
-	Select(k int) []graph.NodeID
-	// Name identifies the solver for reporting.
-	Name() string
-}
-
 // CanceledError reports a seed selection stopped early because its
 // context was canceled or its deadline expired. Seeds holds the seeds
 // picked before the stop — a valid greedy prefix for CELF (every
@@ -145,10 +137,10 @@ type CELF struct {
 	Obs obs.Observer
 }
 
-// Name implements Solver.
+// Name identifies the solver for reporting.
 func (c *CELF) Name() string { return "celf" }
 
-// Select implements Solver.
+// Select returns k seed nodes (fewer if the graph is smaller).
 func (c *CELF) Select(k int) []graph.NodeID {
 	seeds, _ := c.SelectContext(context.Background(), k)
 	return seeds
@@ -264,10 +256,10 @@ type Degree struct {
 	G *graph.Graph
 }
 
-// Name implements Solver.
+// Name identifies the solver for reporting.
 func (d *Degree) Name() string { return "degree" }
 
-// Select implements Solver.
+// Select returns k seed nodes (fewer if the graph is smaller).
 func (d *Degree) Select(k int) []graph.NodeID {
 	return topKBy(d.G.NumNodes(), k, func(v graph.NodeID) float64 {
 		return float64(d.G.OutDegree(v))
@@ -284,10 +276,10 @@ type DegreeDiscount struct {
 	P float64
 }
 
-// Name implements Solver.
+// Name identifies the solver for reporting.
 func (d *DegreeDiscount) Name() string { return "degree-discount" }
 
-// Select implements Solver.
+// Select returns k seed nodes (fewer if the graph is smaller).
 func (d *DegreeDiscount) Select(k int) []graph.NodeID {
 	p := d.P
 	if p == 0 {
@@ -356,10 +348,10 @@ type RIS struct {
 	ix *rrIndex
 }
 
-// Name implements Solver.
+// Name identifies the solver for reporting.
 func (r *RIS) Name() string { return "ris" }
 
-// Select implements Solver.
+// Select returns k seed nodes (fewer if the graph is smaller).
 func (r *RIS) Select(k int) []graph.NodeID {
 	seeds, _ := r.SelectContext(context.Background(), k)
 	return seeds
@@ -568,8 +560,8 @@ var rrGenPool = sync.Pool{New: func() any {
 	gs.body = func(w, lo, hi int) {
 		sc := gs.scratch.Get(w)
 		for i := lo; i < hi; i++ {
-			// Repositioning the per-worker RNG is stream-identical to a
-			// fresh parallel.Stream(seed, base+i), minus the allocation.
+			// Repositioning the per-worker RNG gives set i its own
+			// stream (seed, base+i) without allocating.
 			sc.rng.SetStream(gs.seed, uint64(gs.base+i))
 			target := graph.NodeID(sc.rng.Intn(gs.n))
 			s, e := reverseReachable(gs.g, target, gs.maxDepth, &sc.rng, sc)

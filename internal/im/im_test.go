@@ -242,7 +242,7 @@ func TestValidateSeeds(t *testing.T) {
 
 func TestSolverNames(t *testing.T) {
 	g := twoStars()
-	solvers := []Solver{
+	solvers := []interface{ Name() string }{
 		&CELF{Model: &diffusion.IC{G: g}, NumNodes: 10},
 		&Degree{G: g},
 		&DegreeDiscount{G: g},

@@ -39,7 +39,7 @@ type IMM struct {
 	Obs obs.Observer
 }
 
-// Name implements Solver.
+// Name identifies the solver for reporting.
 func (s *IMM) Name() string { return "imm" }
 
 // rrIndex accumulates reverse-reachable sets in a flat arena with one
@@ -191,7 +191,7 @@ func (h *coverHeap) pop() {
 	h.down(0)
 }
 
-// Select implements Solver following IMM's two phases.
+// Select returns k seed nodes following IMM's two phases.
 func (s *IMM) Select(k int) []graph.NodeID {
 	seeds, _ := s.SelectContext(context.Background(), k)
 	return seeds

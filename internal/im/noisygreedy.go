@@ -25,10 +25,10 @@ type NoisyGreedy struct {
 	NumNodes int
 }
 
-// Name implements Solver.
+// Name identifies the solver for reporting.
 func (n *NoisyGreedy) Name() string { return "noisy-greedy" }
 
-// Select implements Solver.
+// Select returns k seed nodes (fewer if the graph is smaller).
 func (n *NoisyGreedy) Select(k int) []graph.NodeID {
 	if k > n.NumNodes {
 		k = n.NumNodes

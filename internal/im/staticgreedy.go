@@ -31,7 +31,7 @@ type StaticGreedy struct {
 	Seed     int64
 }
 
-// Name implements Solver.
+// Name identifies the solver for reporting.
 func (s *StaticGreedy) Name() string { return "static-greedy" }
 
 // world holds one snapshot's reachability structure.
@@ -87,7 +87,7 @@ func buildWorld(g *graph.Graph, maxDepth int, rng *rand.Rand) sgWorld {
 	return sgWorld{comp: comp, reach: reach}
 }
 
-// Select implements Solver with CELF-style lazy evaluation over the
+// Select returns k seed nodes with CELF-style lazy evaluation over the
 // snapshot coverage function (which is exactly submodular, so laziness is
 // lossless here).
 func (s *StaticGreedy) Select(k int) []graph.NodeID {

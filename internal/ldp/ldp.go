@@ -82,7 +82,7 @@ type DegreeSeeder struct {
 	Seed    int64
 }
 
-// Name implements the im.Solver naming convention.
+// Name identifies the seeder for reporting.
 func (s *DegreeSeeder) Name() string { return "ldp-degree" }
 
 // Select returns the top-k nodes by debiased noisy degree.

@@ -323,16 +323,6 @@ func (l *Ledger) Forfeit(ref string) {
 	l.emitLocked("forfeit", st.tenant, st.graph, ref, rec.Eps)
 }
 
-// Reserved returns the outstanding reservation under ref (0 when none).
-func (l *Ledger) Reserved(ref string) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if st, ok := l.refs[ref]; ok && st.state == stateReserved {
-		return st.eps
-	}
-	return 0
-}
-
 // Balance returns the budget position of one (tenant, graph) entry.
 func (l *Ledger) Balance(tenant, graph string) Balance {
 	l.mu.Lock()

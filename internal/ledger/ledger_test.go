@@ -174,13 +174,15 @@ func TestReplayBitForBit(t *testing.T) {
 	if math.Float64bits(got.Reserved) != math.Float64bits(want.Reserved) {
 		t.Fatalf("replayed reserved %v != original %v", got.Reserved, want.Reserved)
 	}
-	// The outstanding reservation survived the restart: committing it now
-	// must not double-spend, and re-reserving its ref must fail.
-	if l2.Reserved("j2") != 2 {
-		t.Fatalf("reservation j2 lost in replay: %v", l2.Reserved("j2"))
-	}
+	// The outstanding reservation survived the restart under its ref:
+	// re-reserving the ref must fail, and refunding it releases all of
+	// the replayed reservation.
 	if err := l2.Reserve("j2", "a", fpA, 2); err == nil {
 		t.Fatal("replayed ledger accepted duplicate ref")
+	}
+	l2.Refund("j2")
+	if r := l2.Balance("a", fpA).Reserved; r != 0 {
+		t.Fatalf("reservation j2 lost in replay: %v still reserved after refunding it", r)
 	}
 	if b := l2.Balance("b", fpA); b.Committed != 0 || b.Reserved != 0 {
 		t.Fatalf("refunded tenant b balance: %+v", b)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -256,44 +257,54 @@ func TestAdamStateResumeBitForBit(t *testing.T) {
 	}
 }
 
-func TestSGDStateRoundTripAndMismatch(t *testing.T) {
+// TestAdamStateRoundTripAndMismatch restores Adam state into a fresh
+// optimizer and checks the step counter and both moments come back
+// exactly, then that a foreign optimizer-kind tag or a different
+// parameter layout is refused.
+func TestAdamStateRoundTripAndMismatch(t *testing.T) {
 	ps, rng := testParamSet()
-	opt := NewSGD(ps, 0.1, 0.9)
+	opt := NewAdam(ps, 0.01)
 	g := NewGrads(ps)
-	for _, m := range g.Mats() {
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
+	for s := 0; s < 2; s++ {
+		for _, m := range g.Mats() {
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64()
+			}
 		}
+		opt.Step(g)
 	}
-	opt.Step(g)
 
 	var state bytes.Buffer
 	if err := opt.StateTo(&state); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewSGD(ps, 0.1, 0.9)
+	restored := NewAdam(ps, 0.01)
 	if err := restored.StateFrom(bytes.NewReader(state.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range opt.velocity.Mats() {
-		for k, v := range m.Data {
-			if restored.velocity.Mats()[i].Data[k] != v {
-				t.Fatalf("velocity[%d][%d] mismatch", i, k)
+	if restored.t != opt.t {
+		t.Fatalf("step counter %d, want %d", restored.t, opt.t)
+	}
+	for _, pair := range [][2]*Grads{{opt.m, restored.m}, {opt.v, restored.v}} {
+		for i, m := range pair[0].Mats() {
+			for k, v := range m.Data {
+				if math.Float64bits(pair[1].Mats()[i].Data[k]) != math.Float64bits(v) {
+					t.Fatalf("moment[%d][%d] mismatch", i, k)
+				}
 			}
 		}
 	}
 
-	// Momentum-free optimizer must reject momentum state.
-	plain := NewSGD(ps, 0.1, 0)
-	if err := plain.StateFrom(bytes.NewReader(state.Bytes())); err == nil {
-		t.Fatal("momentum state restored into momentum-free SGD")
+	// The same state behind any other optimizer-kind tag is refused.
+	foreign := binary.LittleEndian.AppendUint32(nil, 2)
+	foreign = append(foreign, state.Bytes()[4:]...)
+	if err := NewAdam(ps, 0.01).StateFrom(bytes.NewReader(foreign)); err == nil {
+		t.Fatal("Adam restored a state stream tagged 2")
 	}
-	// Adam state into SGD fails on the kind tag.
-	var adamState bytes.Buffer
-	if err := NewAdam(ps, 0.01).StateTo(&adamState); err != nil {
-		t.Fatal(err)
-	}
-	if err := opt.StateFrom(bytes.NewReader(adamState.Bytes())); err == nil {
-		t.Fatal("Adam state restored into SGD")
+	// State over a different parameter layout is refused.
+	other := NewParamSet()
+	other.Add("w1", 3, 4)
+	if err := NewAdam(other, 0.01).StateFrom(bytes.NewReader(state.Bytes())); err == nil {
+		t.Fatal("Adam restored state written over a different layout")
 	}
 }

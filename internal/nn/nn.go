@@ -1,15 +1,13 @@
 // Package nn provides the training substrate above autodiff: named
-// parameter sets, standard initializers, SGD/momentum/Adam optimizers,
-// per-sample gradient clipping (the Clip_C step of DP-SGD, Algorithm 2),
-// and flat-vector views of gradients for noise injection.
+// parameter sets, Glorot initialization, the Adam optimizer, per-sample
+// gradient clipping (the Clip_C step of DP-SGD, Algorithm 2), and
+// flat-vector views of gradients for noise injection.
 package nn
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"privim/internal/autodiff"
 	"privim/internal/parallel"
@@ -69,28 +67,6 @@ func (ps *ParamSet) GlorotInit(rng *rand.Rand) {
 	}
 }
 
-// HeInit fills every parameter with N(0, 2/fanIn).
-func (ps *ParamSet) HeInit(rng *rand.Rand) {
-	for _, p := range ps.params {
-		std := math.Sqrt(2 / float64(p.Value.Rows))
-		p.Value.RandNormal(std, rng)
-	}
-}
-
-// CopyFrom overwrites ps's values with those of src (same layout required).
-func (ps *ParamSet) CopyFrom(src *ParamSet) {
-	if len(ps.params) != len(src.params) {
-		panic("nn: CopyFrom layout mismatch")
-	}
-	for i, p := range ps.params {
-		s := src.params[i]
-		if !p.Value.SameShape(s.Value) {
-			panic(fmt.Sprintf("nn: CopyFrom shape mismatch at %s", p.Name))
-		}
-		copy(p.Value.Data, s.Value.Data)
-	}
-}
-
 // Grads is a gradient snapshot aligned with a ParamSet's layout.
 type Grads struct {
 	mats []*tensor.Matrix
@@ -107,13 +83,6 @@ func NewGrads(ps *ParamSet) *Grads {
 
 // Mats exposes per-parameter gradient matrices in layout order.
 func (g *Grads) Mats() []*tensor.Matrix { return g.mats }
-
-// Zero resets all gradients.
-func (g *Grads) Zero() {
-	for _, m := range g.mats {
-		m.Zero()
-	}
-}
 
 // Add accumulates o into g, scaled by s.
 func (g *Grads) Add(s float64, o *Grads) {
@@ -217,15 +186,6 @@ func (g *Grads) AddGaussianNoise(sigma float64, rng *rand.Rand) {
 	}
 }
 
-// NumCoords returns the number of scalar coordinates in g.
-func (g *Grads) NumCoords() int {
-	n := 0
-	for _, m := range g.mats {
-		n += len(m.Data)
-	}
-	return n
-}
-
 // Bind places every parameter of ps on the tape as leaves and returns the
 // nodes in layout order, so a model forward pass can reference them.
 func Bind(tp *autodiff.Tape, ps *ParamSet) []*autodiff.Node {
@@ -260,14 +220,4 @@ func Collect(nodes []*autodiff.Node, into *Grads) {
 			copy(dst.Data, n.Grad.Data)
 		}
 	}
-}
-
-// Names returns parameter names sorted, for stable diagnostics.
-func (ps *ParamSet) Names() []string {
-	names := make([]string, 0, len(ps.params))
-	for _, p := range ps.params {
-		names = append(names, p.Name)
-	}
-	sort.Strings(names)
-	return names
 }

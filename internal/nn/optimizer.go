@@ -2,52 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates a ParamSet from a gradient snapshot.
-type Optimizer interface {
-	// Step applies one update. grads must match the ParamSet layout the
-	// optimizer was constructed with.
-	Step(grads *Grads)
-}
-
-// SGD is plain (optionally momentum) stochastic gradient descent:
-// v ← µv + g; W ← W − η·v.
-type SGD struct {
-	ps       *ParamSet
-	LR       float64
-	Momentum float64
-	velocity *Grads
-}
-
-// NewSGD returns an SGD optimizer over ps.
-func NewSGD(ps *ParamSet, lr, momentum float64) *SGD {
-	s := &SGD{ps: ps, LR: lr, Momentum: momentum}
-	if momentum > 0 {
-		s.velocity = NewGrads(ps)
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(grads *Grads) {
-	if s.velocity == nil {
-		for i, p := range s.ps.params {
-			g := grads.mats[i]
-			for k := range p.Value.Data {
-				p.Value.Data[k] -= s.LR * g.Data[k]
-			}
-		}
-		return
-	}
-	for i, p := range s.ps.params {
-		g := grads.mats[i]
-		v := s.velocity.mats[i]
-		for k := range p.Value.Data {
-			v.Data[k] = s.Momentum*v.Data[k] + g.Data[k]
-			p.Value.Data[k] -= s.LR * v.Data[k]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer with bias correction.
 type Adam struct {
 	ps           *ParamSet
@@ -68,7 +22,8 @@ func NewAdam(ps *ParamSet, lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update. grads must match the ParamSet layout the
+// optimizer was constructed with.
 func (a *Adam) Step(grads *Grads) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))

@@ -7,11 +7,11 @@ import (
 	"math"
 )
 
-// Training-state serialization: gradient snapshots (Adam moments, SGD
-// velocity) and optimizer scalars, used by the crash-safe training
-// checkpoints in internal/privim. Like the ParamSet format, everything
-// is little-endian and restores into a pre-built layout, so shape
-// mismatches are detected rather than silently accepted.
+// Training-state serialization: gradient snapshots (Adam moments) and
+// optimizer scalars, used by the crash-safe training checkpoints in
+// internal/privim. Like the ParamSet format, everything is little-endian
+// and restores into a pre-built layout, so shape mismatches are detected
+// rather than silently accepted.
 
 // WriteTo serializes the gradient snapshot (per-matrix rows, cols, then
 // row-major float64 bits). It returns the byte count written. Unlike
@@ -90,25 +90,14 @@ func floatBits(vs []float64) []uint64 {
 	return bits
 }
 
-// Optimizer-state kind tags; the tag leads the state stream so a resume
-// with a different optimizer fails loudly instead of misinterpreting
-// moments.
-const (
-	optStateAdam = uint32(1)
-	optStateSGD  = uint32(2)
-)
+// optStateAdam tags Adam state; the tag leads the state stream so a
+// resume from any other optimizer kind fails loudly instead of
+// misinterpreting moments.
+const optStateAdam = uint32(1)
 
-// StatefulOptimizer is an Optimizer whose internal state (step counter,
-// moment/velocity accumulators) can be checkpointed and restored, the
-// contract the crash-safe training resume path needs: after StateFrom,
-// the optimizer continues bit-for-bit as if never interrupted.
-type StatefulOptimizer interface {
-	Optimizer
-	StateTo(w io.Writer) error
-	StateFrom(r io.Reader) error
-}
-
-// StateTo serializes the Adam step counter and first/second moments.
+// StateTo serializes the Adam step counter and first/second moments, so
+// that after StateFrom the optimizer continues bit-for-bit as if never
+// interrupted (the crash-safe training resume contract).
 func (a *Adam) StateTo(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, optStateAdam); err != nil {
 		return err
@@ -145,46 +134,4 @@ func (a *Adam) StateFrom(r io.Reader) error {
 	}
 	a.t = int(t)
 	return nil
-}
-
-// StateTo serializes the SGD velocity (a single presence flag covers the
-// momentum-free case, which carries no state).
-func (s *SGD) StateTo(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, optStateSGD); err != nil {
-		return err
-	}
-	has := uint32(0)
-	if s.velocity != nil {
-		has = 1
-	}
-	if err := binary.Write(w, binary.LittleEndian, has); err != nil {
-		return err
-	}
-	if s.velocity == nil {
-		return nil
-	}
-	_, err := s.velocity.WriteTo(w)
-	return err
-}
-
-// StateFrom restores state written by StateTo.
-func (s *SGD) StateFrom(r io.Reader) error {
-	var kind uint32
-	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
-		return err
-	}
-	if kind != optStateSGD {
-		return fmt.Errorf("nn: optimizer state kind %d, want SGD (%d)", kind, optStateSGD)
-	}
-	var has uint32
-	if err := binary.Read(r, binary.LittleEndian, &has); err != nil {
-		return err
-	}
-	if (has == 1) != (s.velocity != nil) {
-		return fmt.Errorf("nn: SGD momentum mismatch between state and optimizer")
-	}
-	if s.velocity == nil {
-		return nil
-	}
-	return s.velocity.ReadInto(r)
 }

@@ -206,9 +206,6 @@ func (s *Sampler) Close() {
 	<-s.done
 }
 
-// Every returns the configured tick period.
-func (s *Sampler) Every() time.Duration { return s.opts.Every }
-
 // Tick takes one sample: refresh the Go runtime metrics, push every
 // metric's current value into its series, and evaluate the alert rules.
 // now is passed in (rather than read inside) so tests control time.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -220,7 +221,7 @@ func TestDecodeRecordUnknownKind(t *testing.T) {
 
 func TestSpanNesting(t *testing.T) {
 	c := &collector{}
-	root := StartSpan(c, "train")
+	root := StartSpanCtx(context.Background(), c, "train")
 	m1 := root.Child("module1")
 	m1.End()
 	m2 := root.Child("module2")
@@ -261,9 +262,9 @@ func TestSpanNesting(t *testing.T) {
 
 func TestNilSpanAndEmit(t *testing.T) {
 	// All no-op paths must be safe on nil receivers/observers.
-	s := StartSpan(nil, "x")
+	s := StartSpanCtx(context.Background(), nil, "x")
 	if s != nil {
-		t.Fatal("StartSpan(nil) should return nil")
+		t.Fatal("StartSpanCtx(context.Background(), nil) should return nil")
 	}
 	s.Child("y").End()
 	s.End()
@@ -271,7 +272,7 @@ func TestNilSpanAndEmit(t *testing.T) {
 
 	if n := testing.AllocsPerRun(200, func() {
 		Emit(nil, IterationEnd{Iter: 2, Loss: 0.1})
-		StartSpan(nil, "z").End()
+		StartSpanCtx(context.Background(), nil, "z").End()
 	}); n != 0 {
 		t.Fatalf("nil-observer emit allocates %v times", n)
 	}

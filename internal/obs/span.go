@@ -12,9 +12,9 @@ var spanSeq atomic.Uint64
 // Span is a running timed section. Spans nest explicitly via Child, so
 // concurrent children of one parent are well-defined without any
 // goroutine-local state. Every span belongs to a trace: roots mint (or
-// inherit via StartSpanCtx) a trace ID, children share their parent's,
+// inherit from the context) a trace ID, children share their parent's,
 // and both SpanStart and SpanEnd events carry it. A nil *Span (what
-// StartSpan returns for a nil observer) is a valid no-op receiver for
+// StartSpanCtx returns for a nil observer) is a valid no-op receiver for
 // Child, End, Trace, and Observer, which keeps instrumentation sites
 // branch-free.
 type Span struct {
@@ -24,16 +24,6 @@ type Span struct {
 	trace  string
 	name   string
 	start  time.Time
-}
-
-// StartSpan opens a root span on o in a freshly minted trace, emitting
-// SpanStart. Returns nil (a no-op span) when o is nil. To join an
-// existing trace, use StartSpanCtx.
-func StartSpan(o Observer, name string) *Span {
-	if o == nil {
-		return nil
-	}
-	return startRoot(o, name, "")
 }
 
 // startRoot opens a root span in the given trace ("" mints a new one).

@@ -48,7 +48,7 @@ func TestContextSpanHelpers(t *testing.T) {
 		t.Fatal("ContextWithSpan(ctx, nil) should return ctx unchanged")
 	}
 	c := &collector{}
-	root := StartSpan(c, "root")
+	root := StartSpanCtx(context.Background(), c, "root")
 	ctx = ContextWithSpan(ctx, root)
 	if s := SpanFromContext(ctx); s != root {
 		t.Fatalf("SpanFromContext = %v, want the stored span", s)
@@ -72,7 +72,7 @@ func TestContextTraceHelpers(t *testing.T) {
 	}
 	// A context span outranks the bare trace ID.
 	c := &collector{}
-	root := StartSpan(c, "root")
+	root := StartSpanCtx(context.Background(), c, "root")
 	ctx = ContextWithSpan(ctx, root)
 	if got := TraceFromContext(ctx); got != root.Trace() {
 		t.Fatalf("TraceFromContext = %q, want span trace %q", got, root.Trace())
@@ -130,7 +130,7 @@ func TestStartSpanCtxParenting(t *testing.T) {
 
 func TestSpanTraceInheritance(t *testing.T) {
 	c := &collector{}
-	root := StartSpan(c, "root")
+	root := StartSpanCtx(context.Background(), c, "root")
 	child := root.Child("child")
 	grand := child.Child("grand")
 	if root.Trace() == "" {
@@ -160,7 +160,7 @@ func TestJSONLSinkTraceStamp(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	sink.SetTrace("feedfacefeedface")
-	span := StartSpan(sink, "work")
+	span := StartSpanCtx(context.Background(), sink, "work")
 	span.End()
 	Emit(sink, IterationEnd{Iter: 1, Loss: 0.5})
 	if err := sink.Flush(); err != nil {
@@ -186,9 +186,9 @@ func TestSlowSpanWatchdogOnEnd(t *testing.T) {
 	w := NewSlowSpanWatchdog(5*time.Millisecond, c)
 	defer w.Close()
 
-	fast := StartSpan(w, "fast")
+	fast := StartSpanCtx(context.Background(), w, "fast")
 	fast.End()
-	slow := StartSpan(w, "slow")
+	slow := StartSpanCtx(context.Background(), w, "slow")
 	time.Sleep(10 * time.Millisecond)
 	slow.End()
 	w.Close()
@@ -216,7 +216,7 @@ func TestSlowSpanWatchdogInFlight(t *testing.T) {
 	w := NewSlowSpanWatchdog(5*time.Millisecond, c)
 	defer w.Close()
 
-	hung := StartSpan(w, "hung")
+	hung := StartSpanCtx(context.Background(), w, "hung")
 	// The background scanner runs every max(threshold/2, 10ms); give it a
 	// few periods to flag the still-open span.
 	deadline := time.Now().Add(2 * time.Second)
@@ -266,7 +266,7 @@ func journalFor(t *testing.T, trace string, fn func(o Observer)) *bytes.Buffer {
 
 func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	journal := journalFor(t, "", func(o Observer) {
-		root := StartSpan(o, "train")
+		root := StartSpanCtx(context.Background(), o, "train")
 		m1 := root.Child("module1")
 		m1.End()
 		Emit(o, IterationEnd{Iter: 0, Loss: 1.5, EpsilonSpent: 0.1})
@@ -314,7 +314,7 @@ func TestWriteChromeTraceConcurrentSiblings(t *testing.T) {
 	// Two children open before either closes: the second cannot ride the
 	// parent's tid (the first is innermost there) and gets its own row.
 	journal := journalFor(t, "", func(o Observer) {
-		root := StartSpan(o, "root")
+		root := StartSpanCtx(context.Background(), o, "root")
 		a := root.Child("a")
 		b := root.Child("b")
 		a.End()
@@ -377,7 +377,7 @@ func TestWriteChromeTraceFilter(t *testing.T) {
 
 func TestWriteChromeTraceSkipsGarbageAndTruncation(t *testing.T) {
 	journal := journalFor(t, "", func(o Observer) {
-		s := StartSpan(o, "ok")
+		s := StartSpanCtx(context.Background(), o, "ok")
 		s.End()
 	})
 	// Garbage line plus an end-without-start (truncated journal head).

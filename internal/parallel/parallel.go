@@ -11,8 +11,8 @@
 //     varies — but callers only ever write to disjoint index ranges (or
 //     reduce with order-independent integer sums), so results are
 //     bit-for-bit identical at any worker count. Randomized work draws its
-//     randomness from Stream(seed, i), a per-index SplitMix64 stream, never
-//     from a shared sequential RNG.
+//     randomness from a StreamRNG positioned at (seed, i), a per-index
+//     SplitMix64 stream, never from a shared sequential RNG.
 //   - Observability: every For returns Stats (workers used, chunks run per
 //     worker, imbalance), so speedups are measurable rather than asserted.
 //
@@ -24,7 +24,6 @@ package parallel
 import (
 	"context"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
@@ -221,29 +220,22 @@ func (s *source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *source) Seed(seed int64) { s.state = splitmix64(uint64(seed)) }
 
-// Stream returns the i-th deterministic RNG stream of a seeded family:
-// independent per-index streams let parallel loops consume randomness
-// without any cross-worker ordering, so output is identical at any
-// worker count. Streams with the same (seed, i) are identical; distinct
-// indices decorrelate through a double SplitMix64 avalanche.
-func Stream(seed int64, i uint64) *rand.Rand {
-	return rand.New(&source{state: splitmix64(splitmix64(uint64(seed)) + i)})
-}
-
-// StreamRNG is a reusable stream generator: SetStream repositions it to
-// any (seed, i) stream of the Stream family without allocating, so hot
-// loops that burn one stream per work item (RR-set draws) can keep one
-// StreamRNG per worker instead of a rand.New per item. Its draw methods
-// run on the concrete SplitMix64 source, without rand.Rand's interface
-// call, and return exactly what the rand.Rand methods of the same name
-// return on a fresh Stream(seed, i): Go 1 compatibility freezes how those
-// methods consume a source. The zero value is positioned at source state
-// 0; call SetStream first. Not safe for concurrent use; keep one per
-// worker.
+// StreamRNG draws from the i-th deterministic RNG stream of a seeded
+// family: independent per-index streams let parallel loops consume
+// randomness without any cross-worker ordering, so output is identical at
+// any worker count. Streams with the same (seed, i) are identical;
+// distinct indices decorrelate through a double SplitMix64 avalanche.
+// SetStream repositions it without allocating, so hot loops that burn
+// one stream per work item (RR-set draws) keep one StreamRNG per worker.
+// Its draw methods run on the concrete SplitMix64 source, without
+// rand.Rand's interface call, and return exactly what the rand.Rand
+// methods of the same name return on rand.New over the same source: Go 1
+// compatibility freezes how those methods consume a source. The zero
+// value is positioned at source state 0; call SetStream first. Not safe
+// for concurrent use; keep one per worker.
 type StreamRNG struct{ src source }
 
-// SetStream repositions r so its subsequent draws are exactly those of a
-// fresh Stream(seed, i).
+// SetStream positions r at the start of stream (seed, i).
 func (r *StreamRNG) SetStream(seed int64, i uint64) {
 	r.src.state = splitmix64(splitmix64(uint64(seed)) + i)
 }

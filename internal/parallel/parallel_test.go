@@ -2,9 +2,16 @@ package parallel
 
 import (
 	"context"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 )
+
+// Stream returns stream (seed, i) of StreamRNG's family as a *rand.Rand,
+// the reference StreamRNG's draws must match.
+func Stream(seed int64, i uint64) *rand.Rand {
+	return rand.New(&source{state: splitmix64(splitmix64(uint64(seed)) + i)})
+}
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 33} {
@@ -197,6 +204,28 @@ func TestStreamRNGMatchesStream(t *testing.T) {
 			if got, want := r.Int63(), ref.Int63(); got != want {
 				t.Fatalf("stream %d draw %d: Int63 = %d, want %d", i, j, got, want)
 			}
+		}
+	}
+}
+
+// TestForSteadyStateAllocs pins For's own cost per call: nothing on the
+// inline path, and at most 3 + 2w objects at width w — the chunk
+// counters, cursor and wait group, plus two per worker goroutine. The
+// fan-out floors of GEMM, Monte-Carlo estimation, RR-set generation and
+// DP-SGD are built from this count.
+func TestForSteadyStateAllocs(t *testing.T) {
+	var sum atomic.Int64
+	fn := func(_, lo, hi int) { sum.Add(int64(hi - lo)) }
+	for _, w := range []int{1, 2, 4, 8} {
+		run := func() { For(context.Background(), w, 1024, 16, fn) }
+		run()
+		got := testing.AllocsPerRun(20, run)
+		want := 0
+		if w > 1 {
+			want = 3 + 2*w
+		}
+		if got > float64(want) {
+			t.Errorf("For at width %d allocates %v objects/op, want <= %d", w, got, want)
 		}
 	}
 }

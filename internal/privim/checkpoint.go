@@ -120,7 +120,7 @@ type trainState struct {
 	loss        []float64
 	noisy       []float64
 	params      []byte // ParamSet.WriteTo section, restored by the caller
-	opt         []byte // StatefulOptimizer.StateTo section
+	opt         []byte // Adam.StateTo section
 }
 
 // checkpointer owns one run's checkpoint directory: atomic saves, pruned
@@ -175,7 +175,7 @@ func (c *checkpointer) list() []string {
 
 // save writes the full training state after iter completed iterations
 // and prunes old checkpoints beyond checkpointKeep.
-func (c *checkpointer) save(iter int, draws uint64, params *nn.ParamSet, opt nn.StatefulOptimizer, res *Result) error {
+func (c *checkpointer) save(iter int, draws uint64, params *nn.ParamSet, opt *nn.Adam, res *Result) error {
 	start := time.Now()
 	path := checkpointPath(c.dir, iter)
 
@@ -327,7 +327,7 @@ func decodeTrainState(payload []byte) (*trainState, error) {
 // graph fingerprint, accounting scalars, RNG position not behind the
 // post-init stream), and fast-forwards the RNG. It returns nil when no
 // usable checkpoint exists — a fresh start, which is always correct.
-func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt nn.StatefulOptimizer, src *countingSource) *trainState {
+func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt *nn.Adam, src *countingSource) *trainState {
 	reject := func(path, reason string) {
 		obs.Emit(c.o, obs.CheckpointRejected{Path: path, Reason: reason})
 	}

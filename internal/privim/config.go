@@ -30,11 +30,6 @@ const (
 	ModeHPGRAT     Mode = "hp-grat"
 )
 
-// AllModes lists the trainable methods in the paper's Figure 5 order.
-func AllModes() []Mode {
-	return []Mode{ModeDual, ModeNaive, ModeHPGRAT, ModeHP, ModeEGN, ModeNonPrivate}
-}
-
 // Objective selects what the GNN is trained to optimize.
 type Objective string
 
@@ -65,8 +60,8 @@ type Config struct {
 
 	// Epsilon is the privacy budget. 0 (unset) and +Inf both mean
 	// non-private — no noise — and non-private mode forces +Inf;
-	// negative is a validation error (the serve layer rejects it with
-	// 400 before a job is created). Delta defaults to 1/|V_train|.
+	// negative is a validation error (see Validate). Delta must lie in
+	// [0, 1); 0 defaults to 1/|V_train|.
 	Epsilon float64
 	Delta   float64
 
@@ -136,14 +131,43 @@ type Config struct {
 	InitSeed int64
 }
 
-// normalize fills defaults; numNodes is the training-graph size.
-func (c Config) normalize(numNodes int) (Config, error) {
+// Validate reports a field no run can use: an unknown mode or objective,
+// an ε that is negative or NaN, a δ outside [0, 1), or a negative
+// iteration count or checkpoint cadence. Zero values select defaults.
+// Train runs it first; the serving daemon runs it on a train request
+// before it reserves any budget.
+func (c Config) Validate() error {
 	switch c.Mode {
-	case ModeNaive, ModeSCS, ModeDual, ModeNonPrivate, ModeEGN, ModeHP, ModeHPGRAT:
-	case "":
-		c.Mode = ModeDual
+	case "", ModeNaive, ModeSCS, ModeDual, ModeNonPrivate, ModeEGN, ModeHP, ModeHPGRAT:
 	default:
-		return c, fmt.Errorf("privim: unknown mode %q", c.Mode)
+		return fmt.Errorf("privim: unknown mode %q", c.Mode)
+	}
+	switch c.Objective {
+	case "", ObjectiveIM, ObjectiveMaxCover:
+	default:
+		return fmt.Errorf("privim: unknown objective %q", c.Objective)
+	}
+	switch {
+	case !(c.Epsilon >= 0):
+		return fmt.Errorf("privim: epsilon %v must be positive (or 0 / +Inf for non-private)", c.Epsilon)
+	case !(c.Delta >= 0 && c.Delta < 1):
+		return fmt.Errorf("privim: delta %v outside [0, 1) (0 picks 1/|V|)", c.Delta)
+	case c.Iterations < 0:
+		return fmt.Errorf("privim: iterations %d must be >= 0", c.Iterations)
+	case c.CheckpointEvery < 0:
+		return fmt.Errorf("privim: checkpoint every %d must be >= 0", c.CheckpointEvery)
+	}
+	return nil
+}
+
+// normalize validates c and fills defaults; numNodes is the
+// training-graph size.
+func (c Config) normalize(numNodes int) (Config, error) {
+	if err := c.Validate(); err != nil {
+		return c, err
+	}
+	if c.Mode == "" {
+		c.Mode = ModeDual
 	}
 	if c.GNNKind == "" {
 		switch c.Mode {
@@ -219,18 +243,11 @@ func (c Config) normalize(numNodes int) (Config, error) {
 	if c.Workers < 0 {
 		c.Workers = 0
 	}
-	if c.CheckpointEvery < 0 {
-		return c, fmt.Errorf("privim: checkpoint every %d must be >= 0", c.CheckpointEvery)
-	}
 	if c.CheckpointDir != "" && c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 10
 	}
-	switch c.Objective {
-	case "":
+	if c.Objective == "" {
 		c.Objective = ObjectiveIM
-	case ObjectiveIM, ObjectiveMaxCover:
-	default:
-		return c, fmt.Errorf("privim: unknown objective %q", c.Objective)
 	}
 	if c.CoverBudget == 0 {
 		c.CoverBudget = c.SubgraphSize / 4
@@ -238,11 +255,7 @@ func (c Config) normalize(numNodes int) (Config, error) {
 			c.CoverBudget = 1
 		}
 	}
-	// Epsilon semantics: negative is an error, zero (unset) and +Inf both
-	// mean non-private.
-	if c.Epsilon < 0 {
-		return c, fmt.Errorf("privim: epsilon %v must be positive (or 0 / +Inf for non-private)", c.Epsilon)
-	}
+	// Zero (unset) and +Inf epsilon both mean non-private.
 	if c.Epsilon == 0 {
 		c.Epsilon = math.Inf(1)
 	}

@@ -40,7 +40,7 @@ func quickConfig(mode Mode) Config {
 func TestTrainAllModes(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
-	for _, mode := range AllModes() {
+	for _, mode := range []Mode{ModeDual, ModeNaive, ModeHPGRAT, ModeHP, ModeEGN, ModeNonPrivate} {
 		mode := mode
 		t.Run(string(mode), func(t *testing.T) {
 			res, err := Train(context.Background(), train, quickConfig(mode))
@@ -160,17 +160,36 @@ func TestEGNGetsWorstNoise(t *testing.T) {
 	}
 }
 
+// TestConfigErrors: every field value no run can use is an error from
+// Validate and from Train, never a panic.
 func TestConfigErrors(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
-	bad := quickConfig("bogus")
-	if _, err := Train(context.Background(), train, bad); err == nil {
-		t.Fatal("expected error for unknown mode")
-	}
-	neg := quickConfig(ModeDual)
-	neg.Epsilon = -2
-	if _, err := Train(context.Background(), train, neg); err == nil {
-		t.Fatal("expected error for negative epsilon")
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"unknown mode", func(c *Config) { c.Mode = "bogus" }},
+		{"unknown objective", func(c *Config) { c.Objective = "bogus" }},
+		{"negative epsilon", func(c *Config) { c.Epsilon = -2 }},
+		{"NaN epsilon", func(c *Config) { c.Epsilon = math.NaN() }},
+		{"negative delta", func(c *Config) { c.Delta = -1 }},
+		{"delta 1", func(c *Config) { c.Delta = 1 }},
+		{"delta 2", func(c *Config) { c.Delta = 2 }},
+		{"negative iterations", func(c *Config) { c.Iterations = -1 }},
+		{"negative iterations, non-private", func(c *Config) { c.Iterations, c.Mode = -1, ModeNonPrivate }},
+		{"negative checkpoint cadence", func(c *Config) { c.CheckpointEvery = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := quickConfig(ModeDual)
+			c.set(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("Validate accepted the config")
+			}
+			if _, err := Train(context.Background(), train, cfg); err == nil {
+				t.Error("Train accepted the config")
+			}
+		})
 	}
 }
 

@@ -267,7 +267,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		if cfg.Objective == ObjectiveMaxCover {
 			return gnn.MaxCoverLossCover(sc.tape, s.G, scores, cfg.CoverBudget, 1, lossAdj[idx])
 		}
-		return gnn.IMLossAdj(sc.tape, s.G, scores, lossCfg, lossAdj[idx])
+		return gnn.IMLoss(sc.tape, s.G, scores, lossCfg, lossAdj[idx])
 	}
 	gradPass := func(w, lo, hi int) {
 		sc := scratch.Get(w)

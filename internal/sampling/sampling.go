@@ -59,16 +59,6 @@ func (c *Container) MaxOccurrence() int {
 	return best
 }
 
-// Merge appends the subgraphs of o (over the same parent graph) into c.
-func (c *Container) Merge(o *Container) {
-	if len(c.Occurrences) != len(o.Occurrences) {
-		panic("sampling: Merge over different parent graphs")
-	}
-	for _, s := range o.Subgraphs {
-		c.Add(s)
-	}
-}
-
 // weakNeighbors lists each node's neighbors under the weak (undirected)
 // view, deduplicated, computed once per extraction. All lists share one
 // flat backing array, and dedup uses a per-node epoch stamp instead of a

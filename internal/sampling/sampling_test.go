@@ -275,36 +275,6 @@ func TestSampleByFrequencyThresholdExcludes(t *testing.T) {
 	}
 }
 
-func TestContainerMerge(t *testing.T) {
-	g := testGraph(t, 100, 14)
-	rng := rand.New(rand.NewSource(15))
-	cfg := defaultFreq()
-	cfg.BESDivisor = 0
-	a, err := ExtractDualStage(g, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ExtractDualStage(g, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLen := a.Len() + b.Len()
-	a.Merge(b)
-	if a.Len() != wantLen {
-		t.Fatalf("merged len %d, want %d", a.Len(), wantLen)
-	}
-}
-
-func TestContainerMergePanicsOnMismatch(t *testing.T) {
-	a, b := NewContainer(5), NewContainer(6)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestOccurrencesAudit(t *testing.T) {
 	c := NewContainer(4)
 	c.Add(&graph.Subgraph{G: graph.NewBuilder(2, true).Build(), Orig: []graph.NodeID{0, 1}})

@@ -176,6 +176,38 @@ func TestTrainRejectsNegativeEpsilonAndBadTenant(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsUnrunnableConfig: bodies the trainer cannot run get
+// 400 before any ε is reserved, and the daemon keeps serving after them.
+func TestTrainRejectsUnrunnableConfig(t *testing.T) {
+	_, ts := budgetTestServer(t, Options{Budget: 5, TrainWorkers: 1, Logf: discard})
+	for _, body := range []string{
+		`{"graph":"g","iterations":-1,"epsilon":1}`,
+		`{"graph":"g","epsilon":1,"delta":2}`,
+		`{"graph":"g","epsilon":1,"delta":-1}`,
+	} {
+		var errBody map[string]string
+		if code := doTenant(t, ts, http.MethodPost, "/v1/train", "tenant-a", body, &errBody); code != 400 {
+			t.Fatalf("%s = %d, want 400", body, code)
+		}
+	}
+	var pos struct {
+		Budgets []ledger.Balance `json:"budgets"`
+	}
+	if code := doTenant(t, ts, http.MethodGet, "/v1/budget", "tenant-a", "", &pos); code != 200 || len(pos.Budgets) != 0 {
+		t.Fatalf("budget after rejected bodies = %d %+v, want nothing reserved", code, pos.Budgets)
+	}
+	var st JobStatus
+	if code := doTenant(t, ts, http.MethodPost, "/v1/train", "tenant-a", fastTrainBody, &st); code != 202 {
+		t.Fatalf("valid train = %d, want 202", code)
+	}
+	if done := waitJobDone(t, ts, "tenant-a", st.ID); done.State != JobDone {
+		t.Fatalf("valid job = %+v, want done", done)
+	}
+	if code := doTenant(t, ts, http.MethodGet, "/healthz", "", "", nil); code != 200 {
+		t.Fatalf("/healthz = %d, want 200", code)
+	}
+}
+
 // newBudgetManager returns a worker-less manager journaling into dir
 // with a durable budget ledger beside the job table.
 func newBudgetManager(t *testing.T, dir string, budget float64) (*jobManager, *ledger.Ledger) {

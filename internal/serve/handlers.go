@@ -317,11 +317,10 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid model name %q", req.ModelName)
 		return
 	}
-	if req.Epsilon < 0 {
-		// Same rule the trainer enforces (core.Config.normalize), moved up
-		// front so a bad request fails before a job exists: 0 and +Inf mean
-		// non-private, negative is meaningless.
-		httpError(w, http.StatusBadRequest, "epsilon %v must be positive (or 0 for non-private)", req.Epsilon)
+	if err := req.config().Validate(); err != nil {
+		// The trainer's own check, run before a job exists or any ε is
+		// reserved.
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tenant, ok := tenantOf(w, r)

@@ -202,6 +202,24 @@ func newJobManager(opts jobManagerOptions) *jobManager {
 	return m
 }
 
+// config maps the request's training fields onto the trainer's Config;
+// admission validates the same Config the job later runs.
+func (req TrainRequest) config() core.Config {
+	return core.Config{
+		Mode:         core.Mode(req.Mode),
+		GNNKind:      gnn.Kind(req.GNN),
+		Epsilon:      req.Epsilon,
+		Delta:        req.Delta,
+		Iterations:   req.Iterations,
+		SubgraphSize: req.SubgraphSize,
+		Threshold:    req.Threshold,
+		HiddenDim:    req.HiddenDim,
+		Layers:       req.Layers,
+		BatchSize:    req.BatchSize,
+		Seed:         req.Seed,
+	}
+}
+
 // privateRequest reports whether the request trains with DP noise —
 // mirrors core.Config.privatized after normalization (0 maps to +Inf),
 // so only jobs that actually spend privacy budget charge the ledger.
@@ -485,29 +503,15 @@ func (m *jobManager) run(j *job) {
 		}
 	}
 
-	cfg := core.Config{
-		Mode:         core.Mode(req.Mode),
-		Epsilon:      req.Epsilon,
-		Delta:        req.Delta,
-		Iterations:   req.Iterations,
-		SubgraphSize: req.SubgraphSize,
-		Threshold:    req.Threshold,
-		HiddenDim:    req.HiddenDim,
-		Layers:       req.Layers,
-		BatchSize:    req.BatchSize,
-		Seed:         req.Seed,
-		Workers:      m.perJobWorkers,
-		Observer:     observer,
-	}
+	cfg := req.config()
+	cfg.Workers = m.perJobWorkers
+	cfg.Observer = observer
 	if cfg.Delta == 0 && m.budget != nil && privateRequest(req) {
 		// Budget-charged runs compose at the ledger's δ; calibrating the
 		// run at the same δ keeps its committed spend equal to its
 		// requested ε. (A run at a looser δ converts to a larger ε at the
 		// ledger — correct, but it would overdraw its own reservation.)
 		cfg.Delta = m.budget.Delta()
-	}
-	if req.GNN != "" {
-		cfg.GNNKind = gnn.Kind(req.GNN)
 	}
 	if m.journalDir != "" {
 		// Crash safety: the job trains with periodic checkpoints under the

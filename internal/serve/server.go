@@ -254,9 +254,6 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Registry returns the metrics registry the server reports into.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // StoreGraph parses an edge-list body and stores it under name — the
 // programmatic twin of POST /v1/graphs/{name}, used by the daemon's
 // -graphs preload.

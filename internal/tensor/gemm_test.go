@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"privim/internal/parallel"
 )
 
 func randMat(rows, cols int, rng *rand.Rand) *Matrix {
@@ -164,5 +166,27 @@ func BenchmarkGEMM256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(out, x, y, false)
+	}
+}
+
+// TestGEMMSteadyStateAllocs pins a 256×256 product's allocations at each
+// pool width: none serially, and at width w at most parallel.For's
+// 3 + 2w plus the panel closure.
+func TestGEMMSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := randMat(256, 256, rng)
+	y := randMat(256, 256, rng)
+	out := New(256, 256)
+	defer parallel.SetLimit(parallel.Limit())
+	for _, w := range []int{1, 2, 4, 8} {
+		parallel.SetLimit(w)
+		got := testing.AllocsPerRun(3, func() { MatMulInto(out, x, y, false) })
+		want := 0
+		if w > 1 {
+			want = 4 + 2*w
+		}
+		if got > float64(want) {
+			t.Errorf("MatMulInto 256×256 at width %d allocates %v objects/op, want <= %d", w, got, want)
+		}
 	}
 }

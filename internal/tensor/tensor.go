@@ -288,56 +288,6 @@ func MatMulTNInto(out, a, b *Matrix) {
 	}
 }
 
-// Transpose returns mᵀ.
-func Transpose(m *Matrix) *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	assertSameShape("Add", a, b)
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
-// Sub returns a−b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	assertSameShape("Sub", a, b)
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
-// Mul returns the Hadamard product a∘b.
-func Mul(a, b *Matrix) *Matrix {
-	assertSameShape("Mul", a, b)
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] *= v
-	}
-	return out
-}
-
-// Scale returns s·m.
-func Scale(m *Matrix, s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // AXPY computes dst += s·src in place.
 func AXPY(dst *Matrix, s float64, src *Matrix) {
 	assertSameShape("AXPY", dst, src)
@@ -373,41 +323,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return best
-}
-
-// Apply returns f applied elementwise.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
-// SoftmaxRows returns row-wise softmax with the standard max-shift for
-// numerical stability.
-func SoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		orow := out.Row(i)
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - max)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
-	return out
 }
 
 // LogSumExp returns log Σ exp(x_i) computed stably.

@@ -19,7 +19,7 @@
 //   - internal/graph: directed weighted graphs, θ-projection, subgraphs
 //   - internal/dataset: synthetic social-network generators (Table I shapes)
 //   - internal/sampling: Algorithm 1 RWR and Algorithm 3 dual-stage sampling
-//   - internal/dp: Gaussian/Laplace/SML mechanisms, RDP accountant, σ calibration
+//   - internal/dp: Laplace/SML mechanisms, RDP accountant, σ calibration
 //   - internal/gnn: GCN / GraphSAGE / GAT / GRAT / GIN over tape autodiff
 //   - internal/diffusion: IC / LT / SIS cascade simulation
 //   - internal/im: CELF, degree heuristics, RIS
