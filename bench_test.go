@@ -353,8 +353,8 @@ func BenchmarkTrainNoObserver(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.NoisyLossHistory) != 5 {
-			b.Fatalf("got %d noisy losses", len(res.NoisyLossHistory))
+		if len(res.LossHistory) != 5 {
+			b.Fatalf("got %d losses", len(res.LossHistory))
 		}
 	}
 }

@@ -126,10 +126,6 @@ type IterationEnd struct {
 	// Loss is the mean per-sample training loss before noise (what the
 	// model optimizes; mirrors Result.LossHistory).
 	Loss float64 `json:"loss"`
-	// NoisyLoss is the same batch's loss re-evaluated after the noisy
-	// update (mirrors Result.NoisyLossHistory); the gap to Loss shows the
-	// damage DP noise does to this step.
-	NoisyLoss float64 `json:"noisy_loss"`
 	// GradNorm is the mean per-sample pre-clip gradient l2 norm.
 	GradNorm float64 `json:"grad_norm"`
 	// ClipFraction is the fraction of batch samples whose gradient

@@ -156,7 +156,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		SpanStart{ID: 1, Span: "train"},
 		SpanStart{ID: 2, Parent: 1, Span: "module1.extract"},
 		SpanEnd{ID: 2, Parent: 1, Span: "module1.extract", Elapsed: 42 * time.Millisecond},
-		IterationEnd{Iter: 3, Loss: 0.5, NoisyLoss: 0.6, GradNorm: 1.25, ClipFraction: 0.75, EpsilonSpent: 2.5},
+		IterationEnd{Iter: 3, Loss: 0.5, GradNorm: 1.25, ClipFraction: 0.75, EpsilonSpent: 2.5},
 		MCBatchDone{Model: "ic", Rounds: 100, MeanSpread: 7.5, Elapsed: time.Second, SimsPerSec: 100},
 		SeedSelected{K: 2, Node: 17, MarginalGain: 3.5, Evaluations: 40, LookupsSaved: 360},
 		ExtractionDone{Stage: "scs", Subgraphs: 12, Walks: 30, MaxOccurrence: 4},
@@ -297,12 +297,27 @@ func TestMulti(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordAcceptsNoisyLoss: iteration_end records written while
+// the event still carried the post-update noisy_loss field decode, with
+// every remaining field intact.
+func TestDecodeRecordAcceptsNoisyLoss(t *testing.T) {
+	line := []byte(`{"event":"iteration_end","ts_unix_ns":1000,"data":{"iter":2,"loss":0.5,"noisy_loss":0.6,"grad_norm":1.25,"clip_fraction":0.75,"epsilon_spent":2.5}}`)
+	ev, _, err := DecodeRecord(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &IterationEnd{Iter: 2, Loss: 0.5, GradNorm: 1.25, ClipFraction: 0.75, EpsilonSpent: 2.5}
+	if !reflect.DeepEqual(ev, want) {
+		t.Fatalf("decoded %+v, want %+v", ev, want)
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Emit(SpanStart{ID: 1, Span: "train"})
 	r.Emit(SpanEnd{ID: 1, Span: "train", Elapsed: 3 * time.Millisecond})
-	r.Emit(IterationEnd{Iter: 0, Loss: 0.25, NoisyLoss: 0.5, GradNorm: 2, ClipFraction: 0.5, EpsilonSpent: 1.5})
-	r.Emit(IterationEnd{Iter: 1, Loss: 0.2, NoisyLoss: 0.4, GradNorm: 3, ClipFraction: 0.25, EpsilonSpent: 2})
+	r.Emit(IterationEnd{Iter: 0, Loss: 0.25, GradNorm: 2, ClipFraction: 0.5, EpsilonSpent: 1.5})
+	r.Emit(IterationEnd{Iter: 1, Loss: 0.2, GradNorm: 3, ClipFraction: 0.25, EpsilonSpent: 2})
 	r.Emit(MCBatchDone{Model: "ic", Rounds: 50, MeanSpread: 4, SimsPerSec: 1000})
 	r.Emit(SeedSelected{K: 1, Node: 3, MarginalGain: 9, Evaluations: 10, LookupsSaved: 0})
 	r.Emit(ExtractionDone{Stage: "scs", Subgraphs: 8, Walks: 20, MaxOccurrence: 4})

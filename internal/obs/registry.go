@@ -163,7 +163,6 @@ func (r *Registry) Emit(e Event) {
 	case IterationEnd:
 		r.Counter("train.iterations").Inc()
 		r.Gauge("train.loss").Set(ev.Loss)
-		r.Gauge("train.noisy_loss").Set(ev.NoisyLoss)
 		r.Gauge("train.epsilon_spent").Set(ev.EpsilonSpent)
 		r.Gauge("train.clip_fraction").Set(ev.ClipFraction)
 		r.Histogram("train.grad_norm").Observe(ev.GradNorm)

@@ -156,7 +156,7 @@ func WriteChromeTrace(journal io.Reader, w io.Writer, traceFilter string) error 
 			}
 			out.TraceEvents = append(out.TraceEvents,
 				chromeEvent{Name: "train.loss", Ph: "C", TS: us, Pid: 1, Tid: 1,
-					Args: map[string]any{"loss": e.Loss, "noisy_loss": e.NoisyLoss}},
+					Args: map[string]any{"loss": e.Loss}},
 				chromeEvent{Name: "train.epsilon", Ph: "C", TS: us, Pid: 1, Tid: 1,
 					Args: map[string]any{"epsilon_spent": e.EpsilonSpent}},
 			)

@@ -62,11 +62,11 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 			continue
 		}
 		// Over the serial marginal, an iteration adds its fan-outs: the
-		// per-sample gradient pass and the post-update loss pass over the
-		// batch, then one nn.SumTree level (a closure plus a For over its
-		// pairs) per halving of the batch; w more covers per-worker
-		// scratch that only the longer run touches.
-		fanOut := 2 * forAllocs(w, batch)
+		// per-sample gradient pass over the batch, then one nn.SumTree
+		// level (a closure plus a For over its pairs) per halving of the
+		// batch; w more covers per-worker scratch that only the longer run
+		// touches.
+		fanOut := forAllocs(w, batch)
 		for stride := 1; stride < batch; stride *= 2 {
 			fanOut += 1 + forAllocs(w, (batch-stride+2*stride-1)/(2*stride))
 		}

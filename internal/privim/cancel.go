@@ -9,7 +9,7 @@ import "fmt"
 // state is always "exactly Iter completed iterations":
 //
 //   - Partial.Model holds the parameters after Iter iterations;
-//   - Partial.LossHistory / NoisyLossHistory hold Iter entries;
+//   - Partial.LossHistory holds Iter entries;
 //   - Partial.EpsilonSpent is the ε actually spent — the accountant at
 //     Iter iterations, not the full-run figure — which is what a budget
 //     ledger must commit for the canceled run;

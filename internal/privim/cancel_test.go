@@ -3,6 +3,7 @@ package privim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"privim/internal/obs"
@@ -58,9 +59,9 @@ func TestTrainCancelResumesBitForBit(t *testing.T) {
 	if cerr.CheckpointPath == "" {
 		t.Fatal("cancel with a checkpoint dir must write a final checkpoint")
 	}
-	if got := cerr.Partial.EpsilonSpent; got <= 0 || got >= baseline.EpsilonSpent {
-		t.Fatalf("partial ε = %v, want in (0, %v): must be the 3-iteration spend, not the full-run figure",
-			got, baseline.EpsilonSpent)
+	acct, _ := baseline.Accountant()
+	if got, want := cerr.Partial.EpsilonSpent, acct.Epsilon(3, baseline.Config.Delta); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("partial ε = %v, want the 3-iteration spend %v (full run: %v)", got, want, baseline.EpsilonSpent)
 	}
 	if n := trap.count("canceled"); n != 1 {
 		t.Fatalf("expected exactly one canceled event, got %d", n)

@@ -22,7 +22,7 @@ import (
 // Crash-safe training checkpoints. A checkpoint captures everything the
 // DP-SGD loop needs to continue bit-for-bit identically to an
 // uninterrupted run: model parameters, optimizer moments, the RNG stream
-// position (so batch picks and noise draws line up), the loss histories,
+// position (so batch picks and noise draws line up), the loss history,
 // and the privacy-accounting scalars for cross-checking. The file layer
 // (temp file + checksum trailer + atomic rename, nn.WriteFileAtomic) is
 // shared with the rest of the repo's durable state.
@@ -33,9 +33,12 @@ import (
 // checkpointed draw count. That keeps checkpoints small (no subgraph
 // container on disk) and makes every restored tensor verifiable against
 // a freshly computed layout.
+//
+// Version 1 carried a second loss history (the batch re-evaluated after
+// the noisy update); decoding still reads and drops it.
 const (
 	trainCkptMagic   = "PVIMTRN1"
-	trainCkptVersion = uint32(1)
+	trainCkptVersion = uint32(2)
 	// checkpointKeep is how many recent checkpoint files a run retains;
 	// older ones are pruned after each save. More than one survives so a
 	// corrupted newest file still leaves a previous good checkpoint to
@@ -118,7 +121,6 @@ type trainState struct {
 	sigma       float64
 	epsSpent    float64
 	loss        []float64
-	noisy       []float64
 	params      []byte // ParamSet.WriteTo section, restored by the caller
 	opt         []byte // Adam.StateTo section
 }
@@ -210,14 +212,12 @@ func (c *checkpointer) save(iter int, draws uint64, params *nn.ParamSet, opt *nn
 		if err := binary.Write(w, le, math.Float64bits(c.eps)); err != nil {
 			return err
 		}
-		for _, hist := range [][]float64{res.LossHistory, res.NoisyLossHistory} {
-			if err := binary.Write(w, le, uint32(len(hist))); err != nil {
+		if err := binary.Write(w, le, uint32(len(res.LossHistory))); err != nil {
+			return err
+		}
+		for _, v := range res.LossHistory {
+			if err := binary.Write(w, le, math.Float64bits(v)); err != nil {
 				return err
-			}
-			for _, v := range hist {
-				if err := binary.Write(w, le, math.Float64bits(v)); err != nil {
-					return err
-				}
 			}
 		}
 		for _, section := range [][]byte{paramBuf.Bytes(), optBuf.Bytes()} {
@@ -258,7 +258,7 @@ func decodeTrainState(payload []byte) (*trainState, error) {
 	if err := binary.Read(r, le, &version); err != nil {
 		return nil, err
 	}
-	if version != trainCkptVersion {
+	if version != 1 && version != trainCkptVersion {
 		return nil, fmt.Errorf("unsupported version %d", version)
 	}
 	st := &trainState{}
@@ -284,7 +284,11 @@ func decodeTrainState(payload []byte) (*trainState, error) {
 	st.sigma = math.Float64frombits(sigmaBits)
 	st.epsSpent = math.Float64frombits(epsBits)
 	st.fingerprint = fp
-	for _, hist := range []*[]float64{&st.loss, &st.noisy} {
+	hists := []*[]float64{&st.loss}
+	if version == 1 {
+		hists = append(hists, new([]float64)) // the dropped post-update history
+	}
+	for _, hist := range hists {
 		var n uint32
 		if err := binary.Read(r, le, &n); err != nil {
 			return nil, err
@@ -356,8 +360,8 @@ func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt *nn.Adam, src
 		case math.Float64bits(st.epsSpent) != math.Float64bits(c.eps):
 			reject(path, fmt.Sprintf("epsilon %v does not match run's %v", st.epsSpent, c.eps))
 			continue
-		case len(st.loss) != st.iter || len(st.noisy) != st.iter:
-			reject(path, fmt.Sprintf("history lengths %d/%d do not match iteration %d", len(st.loss), len(st.noisy), st.iter))
+		case len(st.loss) != st.iter:
+			reject(path, fmt.Sprintf("history length %d does not match iteration %d", len(st.loss), st.iter))
 			continue
 		case st.rngDraws < src.Draws():
 			reject(path, fmt.Sprintf("RNG position %d behind post-init position %d", st.rngDraws, src.Draws()))

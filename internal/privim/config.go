@@ -101,7 +101,7 @@ type Config struct {
 
 	// CheckpointDir, when non-empty, makes Train crash-safe: every
 	// CheckpointEvery iterations the full training state — parameters,
-	// optimizer moments, RNG stream position, loss histories, and the
+	// optimizer moments, RNG stream position, loss history, and the
 	// accounting scalars — is written atomically (temp file + checksum +
 	// rename) into the directory, and on start Train resumes from the
 	// newest valid checkpoint found there. A resumed run is bit-for-bit

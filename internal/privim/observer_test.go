@@ -2,6 +2,7 @@ package privim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -79,7 +80,8 @@ func TestTrainEmitsEventStream(t *testing.T) {
 		}
 	}
 
-	// One IterationEnd per iteration, ε monotone nondecreasing, final ε
+	// One IterationEnd per iteration, ε monotone nondecreasing and equal
+	// bit for bit to the accountant's ε after t+1 iterations, final ε
 	// equal to the result's accounting.
 	var iters []obs.IterationEnd
 	for _, e := range events {
@@ -89,6 +91,10 @@ func TestTrainEmitsEventStream(t *testing.T) {
 	}
 	if len(iters) != cfg.Iterations {
 		t.Fatalf("got %d IterationEnd events, want %d", len(iters), cfg.Iterations)
+	}
+	acct, ok := res.Accountant()
+	if !ok {
+		t.Fatal("private run has no accountant")
 	}
 	prevEps := 0.0
 	for i, ev := range iters {
@@ -102,14 +108,14 @@ func TestTrainEmitsEventStream(t *testing.T) {
 		if ev.Loss != res.LossHistory[i] {
 			t.Fatalf("iter %d loss %v != LossHistory %v", i, ev.Loss, res.LossHistory[i])
 		}
-		if ev.NoisyLoss != res.NoisyLossHistory[i] {
-			t.Fatalf("iter %d noisy loss %v != NoisyLossHistory %v", i, ev.NoisyLoss, res.NoisyLossHistory[i])
+		if want := acct.Epsilon(i+1, res.Config.Delta); math.Float64bits(ev.EpsilonSpent) != math.Float64bits(want) {
+			t.Fatalf("iter %d spent %v, accountant says %v after %d iterations", i, ev.EpsilonSpent, want, i+1)
 		}
 		if ev.GradNorm < 0 || ev.ClipFraction < 0 || ev.ClipFraction > 1 {
 			t.Fatalf("iter %d has implausible telemetry: %+v", i, ev)
 		}
 	}
-	if prevEps != res.EpsilonSpent {
+	if math.Float64bits(prevEps) != math.Float64bits(res.EpsilonSpent) {
 		t.Fatalf("final IterationEnd eps %v != Result.EpsilonSpent %v", prevEps, res.EpsilonSpent)
 	}
 
@@ -155,27 +161,5 @@ func TestTrainObserverDoesNotPerturbRun(t *testing.T) {
 	}
 	if plain.EpsilonSpent != observed.EpsilonSpent {
 		t.Fatalf("observer changed accounting: %v vs %v", plain.EpsilonSpent, observed.EpsilonSpent)
-	}
-}
-
-// TestNoisyLossHistory covers the new Result field: recorded every
-// iteration alongside LossHistory, for private and non-private runs.
-func TestNoisyLossHistory(t *testing.T) {
-	ds := quickDataset(t)
-	train := ds.TrainSubgraph().G
-	for _, mode := range []Mode{ModeDual, ModeNonPrivate} {
-		res, err := Train(context.Background(), train, quickConfig(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.NoisyLossHistory) != len(res.LossHistory) {
-			t.Fatalf("%s: NoisyLossHistory has %d entries, LossHistory %d",
-				mode, len(res.NoisyLossHistory), len(res.LossHistory))
-		}
-		for i, v := range res.NoisyLossHistory {
-			if v <= 0 {
-				t.Fatalf("%s: NoisyLossHistory[%d] = %v, want > 0", mode, i, v)
-			}
-		}
 	}
 }

@@ -3,11 +3,14 @@ package privim
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"privim/internal/dataset"
 	"privim/internal/gnn"
+	"privim/internal/graph"
 	"privim/internal/im"
+	"privim/internal/sampling"
 )
 
 // quickDataset returns a small deterministic training graph.
@@ -121,6 +124,58 @@ func TestNaiveUsesLemma1Bound(t *testing.T) {
 	}
 	if res.OccurrenceBound != want {
 		t.Fatalf("naive bound %d, want min(13, m=%d)", res.OccurrenceBound, res.NumSubgraphs)
+	}
+}
+
+// TestAccountedBoundRefusesOverOccurrence: node 0 sits in all three
+// subgraphs of a hand-built container, so the container cannot be
+// accounted for at N_g = 2, and the error names both numbers. A bound
+// above the container size is capped at m.
+func TestAccountedBoundRefusesOverOccurrence(t *testing.T) {
+	b := graph.NewBuilder(4, true)
+	for v := graph.NodeID(1); v <= 3; v++ {
+		b.AddEdge(0, v, 1)
+	}
+	g := b.Build()
+	c := sampling.NewContainer(g.NumNodes())
+	for v := graph.NodeID(1); v <= 3; v++ {
+		c.Add(graph.Induce(g, []graph.NodeID{0, v}))
+	}
+	if ng, err := accountedBound(c, 10); err != nil || ng != 3 {
+		t.Fatalf("accountedBound(m=3, bound 10) = %d, %v; want 3, nil", ng, err)
+	}
+	_, err := accountedBound(c, 2)
+	if err == nil {
+		t.Fatal("a node in 3 subgraphs passed an occurrence bound of 2")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "3 subgraphs") || !strings.Contains(msg, "bound 2") {
+		t.Fatalf("error %q does not name the occurrence 3 and the bound 2", msg)
+	}
+}
+
+// TestPresetsTrainWithinOccurrenceBound trains every private mode on
+// every paper preset, at the default θ and at θ=3, where Lemma 1's bound
+// drops below the container size: Train checks each container against
+// the bound its accountant uses, so none may fail.
+func TestPresetsTrainWithinOccurrenceBound(t *testing.T) {
+	for _, p := range dataset.AllPresets() {
+		ds, err := dataset.Generate(p, dataset.Options{Scale: 0.05, Seed: 1, InfluenceProb: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := ds.TrainSubgraph().G
+		for _, mode := range []Mode{ModeNaive, ModeSCS, ModeDual, ModeEGN, ModeHP, ModeHPGRAT} {
+			for _, theta := range []int{0, 3} {
+				cfg := Config{Mode: mode, Epsilon: 3, Iterations: 2, HiddenDim: 4, Theta: theta, Seed: 1}
+				res, err := Train(context.Background(), g, cfg)
+				if err != nil {
+					t.Fatalf("%s on %s, θ=%d: %v", mode, p, theta, err)
+				}
+				if res.MaxOccurrence > res.OccurrenceBound {
+					t.Fatalf("%s on %s, θ=%d: occurrence %d above bound %d", mode, p, theta, res.MaxOccurrence, res.OccurrenceBound)
+				}
+			}
+		}
 	}
 }
 

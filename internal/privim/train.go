@@ -49,20 +49,13 @@ type Result struct {
 
 	// LossHistory records the mean per-sample training loss at each
 	// iteration (pre-noise, so it reflects what the model actually
-	// optimizes); useful for convergence diagnostics.
+	// optimizes); useful for convergence diagnostics. LossHistory[t+1] is
+	// the loss at the post-noise parameters of iteration t, on the next
+	// batch.
 	LossHistory []float64
 	// acct is the run's RDP accountant (valid only when Private); exposed
 	// via Accountant for cross-run composition in budget ledgers.
 	acct dp.Accountant
-
-	// NoisyLossHistory records, for each iteration, the same batch's mean
-	// per-sample loss re-evaluated after the noisy parameter update
-	// (forward pass only). The gap to LossHistory[t] isolates how much
-	// the DP noise (plus the step itself) perturbed this batch's
-	// objective — the noise-impact diagnostic LossHistory alone cannot
-	// provide. For non-private runs it degenerates to the post-update
-	// loss.
-	NoisyLossHistory []float64
 }
 
 // Accountant returns the run's RDP accountant parameters, for composing
@@ -85,7 +78,7 @@ func (r *Result) Accountant() (acct dp.Accountant, ok bool) {
 // pass — and never after an iteration's noisy update has been applied,
 // so a canceled run always stops on a completed-iteration boundary.
 // On cancel Train returns a *CanceledError carrying the partial Result
-// (model, histories, and the ε actually spent), after writing a final
+// (model, loss history, and the ε actually spent), after writing a final
 // checkpoint when a checkpoint directory is configured. Runs that
 // complete without cancellation are bit-for-bit identical to runs under
 // an uncancelable context at any worker count.
@@ -138,13 +131,24 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		batch = 1
 	}
 	var sigma, noiseScale float64
-	var accountant dp.Accountant
-	if cfg.privatized() {
-		ngEff := bound
-		if ngEff > container.Len() {
-			ngEff = container.Len() // a node cannot appear in more than m subgraphs
+	// epsilonAt is the ε spent by iters iterations (0 when none ran or the
+	// run is not private). Scaling the per-iteration curve, built once, is
+	// RDPCurve(iters) bit for bit without rebuilding Theorem 3's mixture.
+	var unitCurve, curve []float64
+	epsilonAt := func(iters int) float64 {
+		if iters == 0 || unitCurve == nil {
+			return 0
 		}
-		sigma, err = dp.CalibrateSigma(cfg.Epsilon, cfg.Delta, cfg.Iterations, batch, container.Len(), ngEff)
+		for i, gamma := range unitCurve {
+			curve[i] = gamma * float64(iters)
+		}
+		return dp.EpsilonFromCurve(curve, cfg.Delta)
+	}
+	if cfg.privatized() {
+		ngEff, err := accountedBound(container, bound)
+		if err == nil {
+			sigma, err = dp.CalibrateSigma(cfg.Epsilon, cfg.Delta, cfg.Iterations, batch, container.Len(), ngEff)
+		}
 		if err != nil {
 			m2.End()
 			root.End()
@@ -154,10 +158,11 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		res.Sigma = sigma
 		res.NoiseScale = noiseScale
 		res.Private = true
-		accountant = dp.Accountant{M: container.Len(), B: batch, Ng: ngEff, Sigma: sigma}
-		res.EpsilonSpent = accountant.Epsilon(cfg.Iterations, cfg.Delta)
+		res.acct = dp.Accountant{M: container.Len(), B: batch, Ng: ngEff, Sigma: sigma}
+		unitCurve = res.acct.RDPCurve(1)
+		curve = make([]float64, len(unitCurve))
+		res.EpsilonSpent = epsilonAt(cfg.Iterations)
 		res.OccurrenceBound = ngEff
-		res.acct = accountant
 	}
 	m2.End()
 
@@ -216,10 +221,9 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	trainStart := time.Now()
 	lossCfg := gnn.LossConfig{Steps: cfg.LossSteps, Lambda: cfg.Lambda}
 	res.LossHistory = make([]float64, 0, cfg.Iterations)
-	res.NoisyLossHistory = make([]float64, 0, cfg.Iterations)
 
 	// Crash safety: with a checkpoint directory configured, restore the
-	// newest valid checkpoint (parameters, optimizer moments, histories)
+	// newest valid checkpoint (parameters, optimizer moments, loss history)
 	// and fast-forward the RNG to its recorded position, then continue the
 	// loop from there — bit-for-bit identical to never having stopped.
 	startIter := 0
@@ -237,7 +241,6 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		if st != nil {
 			startIter = st.iter
 			res.LossHistory = append(res.LossHistory, st.loss...)
-			res.NoisyLossHistory = append(res.NoisyLossHistory, st.noisy...)
 		}
 	}
 
@@ -286,14 +289,6 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	noisyPass := func(w, lo, hi int) {
-		sc := scratch.Get(w)
-		for b := lo; b < hi; b++ {
-			idx := picks[b]
-			loss := forwardLoss(sc, idx)
-			batchLosses[b] = loss.Value.Data[0] / float64(container.Subgraphs[idx].G.NumNodes())
-		}
-	}
 
 	// Cancellation plumbing. The clock is nil (free) for uncancelable
 	// contexts; canceled settles the partial result — true ε spent, final
@@ -304,13 +299,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	clk := obs.WatchCancel(ctx)
 	defer clk.Stop()
 	canceled := func(iter int, draws uint64, cause error) error {
-		if cfg.privatized() {
-			if iter > 0 {
-				res.EpsilonSpent = accountant.Epsilon(iter, cfg.Delta)
-			} else {
-				res.EpsilonSpent = 0
-			}
-		}
+		res.EpsilonSpent = epsilonAt(iter)
 		cerr := &CanceledError{Partial: res, Iter: iter, Err: cause}
 		if ck != nil && iter > 0 {
 			cs := m3.Child("checkpoint.save")
@@ -387,17 +376,6 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 				}
 			}
 		}
-		// Re-evaluate the same batch against the post-update parameters — a
-		// forward-only pass, recorded as the post-noise loss. batchLosses is
-		// clobbered here; the pre-update mean was taken above. The noisy
-		// update is already applied, so this pass is never canceled.
-		parallel.For(context.Background(), workers, batch, 1, noisyPass)
-		noisyLoss := 0.0
-		for b := 0; b < batch; b++ {
-			noisyLoss += batchLosses[b]
-		}
-		noisyLoss /= float64(batch)
-		res.NoisyLossHistory = append(res.NoisyLossHistory, noisyLoss)
 		if o != nil {
 			var gradNorm, clipped float64
 			for b := 0; b < batch; b++ {
@@ -406,17 +384,12 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 					clipped++
 				}
 			}
-			epsSpent := 0.0
-			if cfg.privatized() {
-				epsSpent = accountant.Epsilon(t+1, cfg.Delta)
-			}
 			obs.Emit(o, obs.IterationEnd{
 				Iter:         t,
 				Loss:         meanLoss,
-				NoisyLoss:    noisyLoss,
 				GradNorm:     gradNorm / float64(batch),
 				ClipFraction: clipped / float64(batch),
-				EpsilonSpent: epsSpent,
+				EpsilonSpent: epsilonAt(t + 1),
 			})
 		}
 		// Checkpoint after every CheckpointEvery-th completed iteration,
@@ -468,6 +441,17 @@ func addSML(g *nn.Grads, s float64, rng *rand.Rand) {
 	for _, m := range g.Mats() {
 		dp.SMLNoise(m.Data, s, rng)
 	}
+}
+
+// accountedBound returns the N_g the accountant uses, the extractor's bound
+// capped at m, and refuses a container where a node appears in more
+// subgraphs: its noise would be calibrated below the mechanism's sensitivity.
+func accountedBound(c *sampling.Container, bound int) (int, error) {
+	ng := min(bound, c.Len())
+	if occ := c.MaxOccurrence(); occ > ng {
+		return 0, fmt.Errorf("privim: a node appears in %d subgraphs, more than the occurrence bound %d the privacy accounting assumes", occ, ng)
+	}
+	return ng, nil
 }
 
 // extractContainer dispatches Module 1 per method and returns the

@@ -43,6 +43,16 @@ func (c *Container) Add(s *graph.Subgraph) {
 	}
 }
 
+// fits reports whether adding nodes keeps each in at most limit subgraphs.
+func (c *Container) fits(nodes []graph.NodeID, limit int) bool {
+	for _, v := range nodes {
+		if c.Occurrences[v] >= limit {
+			return false
+		}
+	}
+	return true
+}
+
 // Len returns the number of subgraphs (m in Theorem 3).
 func (c *Container) Len() int { return len(c.Subgraphs) }
 
@@ -212,6 +222,10 @@ func ExtractRWR(g *graph.Graph, cfg RWRConfig, rng *rand.Rand) (*Container, *gra
 	nbrs := weakNeighbors(proj)
 	container := NewContainer(g.NumNodes())
 	stats := newExtractionStats(cfg.Obs, "rwr")
+	// Lemma 1's N_g counts starts reaching a node over θ-bounded in-arcs,
+	// but the walk roams the weak neighborhood, whose out-arcs are
+	// unbounded: a subgraph that would put a node past N_g is dropped.
+	ng := graph.MaxOccurrence(cfg.Theta, cfg.Hops)
 
 	for v := 0; v < proj.NumNodes(); v++ {
 		if rng.Float64() >= cfg.SamplingRate {
@@ -240,7 +254,7 @@ func ExtractRWR(g *graph.Graph, cfg RWRConfig, rng *rand.Rand) (*Container, *gra
 			}
 		}
 		stats.walk(steps)
-		if len(order) == cfg.SubgraphSize {
+		if len(order) == cfg.SubgraphSize && container.fits(order, ng) {
 			container.Add(graph.Induce(proj, order))
 		}
 	}

@@ -71,6 +71,29 @@ func TestExtractRWRBasics(t *testing.T) {
 	}
 }
 
+// TestExtractRWRKeepsLemma1Bound: on an out-star every leaf has in-degree
+// 1, so θ=1 keeps every arc, yet each leaf's weak 1-hop neighborhood holds
+// the hub. Without the cap the hub would land in one subgraph per leaf;
+// Lemma 1 with θ=1, r=1 allows 2.
+func TestExtractRWRKeepsLemma1Bound(t *testing.T) {
+	const leaves = 10
+	b := graph.NewBuilder(leaves+1, true)
+	for i := 1; i <= leaves; i++ {
+		b.AddEdge(0, graph.NodeID(i), 1)
+	}
+	cfg := RWRConfig{SubgraphSize: 2, Theta: 1, Tau: 0.1, SamplingRate: 1, WalkLength: 50, Hops: 1}
+	c, _, err := ExtractRWR(b.Build(), cfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() == 0 {
+		t.Fatal("no subgraphs on the star")
+	}
+	if got, bound := c.MaxOccurrence(), graph.MaxOccurrence(cfg.Theta, cfg.Hops); got > bound {
+		t.Fatalf("a node appears in %d subgraphs, Lemma 1 allows %d", got, bound)
+	}
+}
+
 func TestExtractRWRHopBound(t *testing.T) {
 	// On a long path with hop bound r, every collected node must be within
 	// r weak hops of the start. Build a path so this is easy to verify.
