@@ -10,23 +10,20 @@
 //	privim -trace-out trace.json -slow-span 2s -preset email
 //	privim -stats-every 10s -profile-dir ./profiles -preset email
 //
-// -stats-every prints a one-line telemetry summary (iterations, loss, ε
-// spent, goroutines, heap) to stderr each interval and keeps an
+// -stats-every prints a one-line telemetry summary (iterations, ε spent,
+// goroutines, heap) to stderr each interval and keeps an
 // in-process metric history, queryable at the -debug-addr listener's
 // /v1/stats and /v1/alerts. -profile-dir captures pprof heap+CPU pairs
 // when a -slow-span watchdog trips, pruned to the newest -profile-keep.
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 
 	"privim/internal/cliutil"
@@ -36,7 +33,6 @@ import (
 	"privim/internal/graph"
 	"privim/internal/im"
 	"privim/internal/ledger"
-	"privim/internal/obs"
 	"privim/internal/privim"
 	"privim/internal/tensor"
 )
@@ -129,16 +125,14 @@ func main() {
 	// run against this graph draws down a durable per-graph ledger — the
 	// single-machine twin of the daemon's per-tenant enforcement. The run
 	// reserves its requested ε up front (an exhausted ledger refuses to
-	// train), commits its composed RDP spend on success, and on failure
-	// commits the ε the trainer had already released.
+	// train) and, whatever its outcome, commits the RDP spend of the
+	// iterations the trainer ran.
 	var (
 		budgetLedger *ledger.Ledger
 		budgetRef    string
 		budgetFP     string
-		lastEps      atomic.Uint64
 	)
-	privateRun := privim.Mode(*mode) != privim.ModeNonPrivate && *eps > 0 && !math.IsInf(*eps, 1)
-	if *loadPath == "" && privateRun && (budgetFlags.Budget > 0 || budgetFlags.Path != "") {
+	if *loadPath == "" && cfg.Private() && (budgetFlags.Budget > 0 || budgetFlags.Path != "") {
 		budgetLedger, err = ledger.Open(ledger.Options{
 			Budget: budgetFlags.Budget,
 			Delta:  budgetFlags.Delta,
@@ -160,11 +154,6 @@ func main() {
 		if err := budgetLedger.Reserve(budgetRef, "local", budgetFP, *eps); err != nil {
 			fatal(err)
 		}
-		cfg.Observer = obs.Multi(cfg.Observer, obs.ObserverFunc(func(e obs.Event) {
-			if it, ok := e.(obs.IterationEnd); ok {
-				lastEps.Store(math.Float64bits(it.EpsilonSpent))
-			}
-		}))
 	}
 
 	var seeds []graph.NodeID
@@ -179,38 +168,26 @@ func main() {
 		seeds = im.TopKScores(scores, *k)
 	} else {
 		res, err := privim.Train(runCtx, g, cfg)
-		if err != nil {
-			var cerr *privim.CanceledError
-			if errors.As(err, &cerr) {
-				// Interrupted at an iteration boundary: settle the budget with
-				// the ε the completed iterations actually released (never the
-				// full-run figure) and point at the resume checkpoint.
-				if budgetLedger != nil {
-					acct, _ := cerr.Partial.Accountant()
-					budgetLedger.Commit(budgetRef, "local", budgetFP, ledger.Charge{
-						Acct: acct, Iterations: cerr.Iter, Epsilon: cerr.Partial.EpsilonSpent,
-					})
-				}
-				fmt.Fprintf(os.Stderr, "privim: canceled after %d/%d iterations (ε spent %.4f of %.4f)\n",
-					cerr.Iter, cerr.Partial.Config.Iterations, cerr.Partial.EpsilonSpent, *eps)
-				if cerr.CheckpointPath != "" {
-					fmt.Fprintf(os.Stderr, "privim: final checkpoint %s — rerun with the same flags to resume bit-for-bit\n",
-						cerr.CheckpointPath)
-				}
-				stack.Close()
-				os.Exit(130)
+		if budgetLedger != nil {
+			budgetLedger.Commit(budgetRef, "local", budgetFP, res.Charge())
+		}
+		var cerr *privim.CanceledError
+		switch {
+		case errors.As(err, &cerr):
+			// Interrupted at an iteration boundary: the commit above charged
+			// only the completed iterations; point at the resume checkpoint.
+			fmt.Fprintf(os.Stderr, "privim: canceled after %d/%d iterations (ε spent %.4f of %.4f)\n",
+				cerr.Iter, cerr.Total, res.EpsilonSpent, *eps)
+			if cerr.CheckpointPath != "" {
+				fmt.Fprintf(os.Stderr, "privim: final checkpoint %s — rerun with the same flags to resume bit-for-bit\n",
+					cerr.CheckpointPath)
 			}
-			if budgetLedger != nil {
-				budgetLedger.Commit(budgetRef, "local", budgetFP,
-					ledger.Charge{Epsilon: math.Float64frombits(lastEps.Load())})
-			}
+			stack.Close()
+			os.Exit(130)
+		case err != nil:
 			fatal(err)
 		}
 		if budgetLedger != nil {
-			acct, _ := res.Accountant()
-			budgetLedger.Commit(budgetRef, "local", budgetFP, ledger.Charge{
-				Acct: acct, Iterations: res.Config.Iterations, Epsilon: res.EpsilonSpent,
-			})
 			b := budgetLedger.Balance("local", budgetFP)
 			if b.Enforced {
 				fmt.Printf("privacy budget: ε %.4f committed of %.4f (%.4f remaining) for graph %s\n",
@@ -261,18 +238,7 @@ func loadGraph(path, preset string, scale float64, seed int64) (*graph.Graph, er
 		if err != nil {
 			return nil, err
 		}
-		// Native format carries the privim-edgelist header; anything else
-		// is treated as a SNAP-style edge list (dense ID remap, weights
-		// assigned uniformly afterwards).
-		if bytes.Contains(data, []byte("privim-edgelist")) {
-			return graph.ReadEdgeList(bytes.NewReader(data))
-		}
-		g, err := dataset.LoadSNAP(bytes.NewReader(data), true)
-		if err != nil {
-			return nil, err
-		}
-		g.SetUniformWeights(1)
-		return g, nil
+		return dataset.ParseGraph(data)
 	}
 	ds, err := dataset.Generate(dataset.Preset(preset), dataset.Options{
 		Scale: scale, Seed: seed, InfluenceProb: 1,

@@ -130,8 +130,7 @@ func main() {
 		HistoryEvery:    *historyEvery,
 		HistoryCapacity: *historyCap,
 		AlertRules:      rules,
-		ProfileDir:      obsFlags.ProfileDir,
-		ProfileKeep:     obsFlags.ProfileKeep,
+		Profiles:        stack.Profiles,
 		Registry:        reg,
 		Observer:        stack.Observer,
 		Logf:            logger.Printf,
@@ -139,10 +138,9 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	if stack.Debug != nil && stack.Sampler == nil {
-		// Surface the daemon's own history on the debug listener too. When
-		// -stats-every ran a cliutil sampler, its handlers already own these
-		// debug-mux patterns; the API listener serves this sampler either way.
+	if stack.Debug != nil {
+		// The daemon's one history sampler backs the debug listener's
+		// /v1/stats and /v1/alerts as well as the API's.
 		stack.Debug.Handle("GET /v1/stats", history.StatsHandler(srv.History()))
 		stack.Debug.Handle("GET /v1/alerts", history.AlertsHandler(srv.History()))
 	}

@@ -104,7 +104,7 @@ func (f *ObserverFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.SlowSpan, "slow-span", 0,
 		"emit a span_slow event when any span exceeds this duration (0 = off)")
 	fs.DurationVar(&f.StatsEvery, "stats-every", 0,
-		"print a one-line telemetry summary (iterations, loss, ε spent, goroutines, heap) to stderr every interval and keep an in-process metric history, queryable at the debug server's /v1/stats and /v1/alerts (0 = off)")
+		"print a one-line telemetry summary (iterations, ε spent, goroutines, heap) to stderr every interval and keep an in-process metric history, queryable at the debug server's /v1/stats and /v1/alerts (0 = off)")
 	fs.StringVar(&f.ProfileDir, "profile-dir", "",
 		"capture pprof heap+CPU profile pairs into this directory when an alert rule fires or a -slow-span watchdog trips, keeping only the newest few (see -profile-keep)")
 	fs.IntVar(&f.ProfileKeep, "profile-keep", 0,
@@ -122,7 +122,7 @@ type Stack struct {
 	Observer obs.Observer
 	Registry *obs.Registry        // non-nil when -debug-addr or -stats-every was set
 	Debug    *obs.DebugServer     // non-nil iff -debug-addr was set
-	Sampler  *history.Sampler     // non-nil iff -stats-every was set
+	Sampler  *history.Sampler     // non-nil iff -stats-every was set and Setup owns the registry
 	Profiles *history.ProfileRing // non-nil iff -profile-dir was set
 	TraceID  string
 
@@ -152,7 +152,8 @@ func (s *Stack) Context(ctx context.Context) context.Context {
 // published via expvar under name behind a pprof-enabled debug listener
 // when -debug-addr is set. A non-nil reg is used in place of a fresh
 // registry — the daemon shares one registry between its /metrics
-// endpoint and /debug/vars.
+// endpoint and /debug/vars — and comes with its owner's history sampler,
+// so Setup builds none for it.
 func (f *ObserverFlags) Setup(name string, reg *obs.Registry) (*Stack, error) {
 	s := &Stack{name: name, TraceID: obs.NewTraceID()}
 	var observers []obs.Observer
@@ -227,19 +228,21 @@ func (f *ObserverFlags) Setup(name string, reg *obs.Registry) (*Stack, error) {
 		}
 	}
 	if f.StatsEvery > 0 {
-		// The sampler routes alert_fired/alert_resolved into the registry
-		// itself; tee them into the journal/trace sinks too so tracecat can
-		// overlay alerts on the run timeline.
-		s.Sampler = history.New(history.Options{
-			Registry: reg,
-			Every:    f.StatsEvery,
-			Observer: obs.Multi(sinks...),
-			Profiles: s.Profiles,
-		})
-		s.Sampler.Start()
-		if s.Debug != nil {
-			s.Debug.Handle("GET /v1/stats", history.StatsHandler(s.Sampler))
-			s.Debug.Handle("GET /v1/alerts", history.AlertsHandler(s.Sampler))
+		if owned {
+			// The sampler routes alert_fired/alert_resolved into the registry
+			// itself; tee them into the journal/trace sinks too so tracecat
+			// can overlay alerts on the run timeline.
+			s.Sampler = history.New(history.Options{
+				Registry: reg,
+				Every:    f.StatsEvery,
+				Observer: obs.Multi(sinks...),
+				Profiles: s.Profiles,
+			})
+			s.Sampler.Start()
+			if s.Debug != nil {
+				s.Debug.Handle("GET /v1/stats", history.StatsHandler(s.Sampler))
+				s.Debug.Handle("GET /v1/alerts", history.AlertsHandler(s.Sampler))
+			}
 		}
 		s.statsStop = make(chan struct{})
 		s.statsDone = make(chan struct{})
@@ -255,14 +258,13 @@ func (f *ObserverFlags) Setup(name string, reg *obs.Registry) (*Stack, error) {
 
 // statsLoop prints a one-line telemetry summary to stderr every interval
 // — enough to watch a long training run from a terminal without a debug
-// server. The history sampler (always running when the loop is) keeps
+// server. A history sampler on reg (Setup's own, or the caller's) keeps
 // the go.* runtime gauges fresh.
 func (s *Stack) statsLoop(reg *obs.Registry, every time.Duration) {
 	defer close(s.statsDone)
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	iters := reg.Counter("train.iterations")
-	loss := reg.Gauge("train.loss")
 	eps := reg.Gauge("train.epsilon_spent")
 	goroutines := reg.Gauge("go.goroutines")
 	heap := reg.Gauge("go.heap_bytes")
@@ -274,8 +276,8 @@ func (s *Stack) statsLoop(reg *obs.Registry, every time.Duration) {
 			return
 		case <-tick.C:
 			fmt.Fprintf(os.Stderr,
-				"%s: stats iter=%d loss=%.4g eps=%.4g goroutines=%d heap=%.1fMB spans_open=%d alerts=%d\n",
-				s.name, iters.Value(), loss.Value(), eps.Value(),
+				"%s: stats iter=%d eps=%.4g goroutines=%d heap=%.1fMB spans_open=%d alerts=%d\n",
+				s.name, iters.Value(), eps.Value(),
 				int(goroutines.Value()), heap.Value()/(1<<20),
 				int(open.Value()), int(alerts.Value()))
 		}

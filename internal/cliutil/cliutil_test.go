@@ -47,8 +47,9 @@ func TestSetupStatsEveryOwnedRegistry(t *testing.T) {
 }
 
 // TestSetupCallerRegistryNotDoubleCounted: a caller-provided registry is
-// used by the sampler but not appended to the observer fan-out (the
-// caller already routes events into it).
+// neither appended to the observer fan-out (the caller already routes
+// events into it) nor sampled a second time (the caller's own history
+// sampler owns it).
 func TestSetupCallerRegistryNotDoubleCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := ObserverFlags{StatsEvery: time.Minute}
@@ -60,8 +61,8 @@ func TestSetupCallerRegistryNotDoubleCounted(t *testing.T) {
 	if s.Registry != reg {
 		t.Fatal("caller registry not adopted")
 	}
-	if s.Sampler == nil {
-		t.Fatal("no sampler despite -stats-every")
+	if s.Sampler != nil {
+		t.Fatal("second history sampler on the caller's registry")
 	}
 	if s.Observer != nil {
 		t.Fatal("caller registry fanned into the observer: events would double-count")

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,10 +11,37 @@ import (
 	"privim/internal/graph"
 )
 
+// ParseGraph decodes an edge-list file or upload body: the native
+// privim-edgelist format when its header is present, otherwise a
+// directed SNAP edge list (dense ID remap, uniform unit weights). The
+// bytes are untrusted: a graph with more nodes than the body has bytes is
+// refused before Build allocates its per-node arrays, so a short header
+// cannot claim gigabytes; SNAP bodies always meet that bound, because
+// their IDs are remapped densely.
+func ParseGraph(data []byte) (*graph.Graph, error) {
+	if bytes.Contains(data, []byte("privim-edgelist")) {
+		b, err := graph.ParseEdgeList(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		if b.NumNodes() > len(data) {
+			return nil, fmt.Errorf("graph: %d nodes in a %d-byte body", b.NumNodes(), len(data))
+		}
+		return b.Build(), nil
+	}
+	g, err := LoadSNAP(bytes.NewReader(data), true)
+	if err != nil {
+		return nil, err
+	}
+	g.SetUniformWeights(1)
+	return g, nil
+}
+
 // LoadSNAP parses the edge-list format the SNAP repository distributes the
 // paper's datasets in: '#'-prefixed comment lines followed by whitespace-
-// separated "FromNodeId ToNodeId" pairs with arbitrary (sparse) integer
-// IDs. IDs are remapped to a dense 0..n-1 range in first-appearance order.
+// or comma-separated "FromNodeId ToNodeId" pairs with arbitrary (sparse)
+// integer IDs. IDs are remapped to a dense 0..n-1 range in
+// first-appearance order.
 // An optional third column is accepted and ignored (e.g. Bitcoin-OTC's
 // ratings) — influence probabilities are assigned afterwards with
 // SetUniformWeights or SetWeightedCascade, matching the paper's setup.
@@ -40,19 +68,16 @@ func LoadSNAP(r io.Reader, directed bool) (*graph.Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
 			continue
 		}
-		fields := strings.Fields(line)
+		// Some SNAP exports are comma separated.
+		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("dataset: SNAP line %d: want 'from to', got %q", lineNo, line)
 		}
-		// Some SNAP exports are comma separated.
-		if len(fields) == 1 && strings.Contains(fields[0], ",") {
-			fields = strings.Split(fields[0], ",")
-		}
-		u, err := strconv.ParseInt(strings.TrimSuffix(fields[0], ","), 10, 64)
+		u, err := strconv.ParseInt(fields[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: SNAP line %d: bad source %q", lineNo, fields[0])
 		}
-		v, err := strconv.ParseInt(strings.TrimSuffix(fields[1], ","), 10, 64)
+		v, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: SNAP line %d: bad target %q", lineNo, fields[1])
 		}

@@ -90,3 +90,25 @@ func TestFromGraph(t *testing.T) {
 		t.Fatalf("WC weight = %v, want 1/indegree = 0.5", w)
 	}
 }
+
+// TestParseGraphCommaSeparatedSNAP: a comma-separated SNAP export parses
+// to the same graph as its space-separated twin, through the decoder
+// uploads, the daemon's preload and privim -graph share.
+func TestParseGraphCommaSeparatedSNAP(t *testing.T) {
+	spaced, err := ParseGraph([]byte("# FromNodeId ToNodeId\n10 20\n20 30 4\n30 10\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		"# FromNodeId,ToNodeId\n10,20\n20,30,4\n30,10\n",
+		"10, 20\n20, 30, 4\n30, 10\n",
+	} {
+		commas, err := ParseGraph([]byte(body))
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		if commas.Fingerprint() != spaced.Fingerprint() {
+			t.Fatalf("%q parsed to %v, want the space-separated graph %v", body, commas, spaced)
+		}
+	}
+}

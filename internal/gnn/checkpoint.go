@@ -43,11 +43,11 @@ func Load(r io.Reader) (*Model, error) {
 	if err := json.Unmarshal(line, &cfg); err != nil {
 		return nil, fmt.Errorf("gnn: decoding checkpoint header: %w", err)
 	}
-	if err := cfg.normalize(); err != nil {
+	weights, err := cfg.WeightCount()
+	if err != nil {
 		return nil, fmt.Errorf("gnn: checkpoint config invalid: %w", err)
 	}
-	weights, ok := cfg.weightCount()
-	if !ok || weights > math.MaxInt64/8 {
+	if weights > math.MaxInt64/8 {
 		return nil, fmt.Errorf("gnn: checkpoint config %+v implies too many weights", cfg)
 	}
 	// Every weight takes 8 payload bytes, so the payload is at least this
@@ -80,10 +80,15 @@ func Load(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// weightCount returns the number of weights New(c) registers for a
-// normalized c, and false if that count overflows an int. It walks the
-// same shapes as New without allocating them.
-func (c *Config) weightCount() (int, bool) {
+// WeightCount returns the number of weights New(c) would register,
+// walking the same shapes without allocating them: the bound Load checks
+// an untrusted checkpoint header against, and the serving daemon a
+// training request before it admits the job. It fails when c is invalid
+// or the count overflows an int.
+func (c Config) WeightCount() (int, error) {
+	if err := c.normalize(); err != nil {
+		return 0, err
+	}
 	var total int
 	ok := true
 	add := func(rows, cols int) {
@@ -123,5 +128,8 @@ func (c *Config) weightCount() (int, bool) {
 	add(c.HiddenDim, 1) // readout over [final hidden | raw features]
 	add(c.InputDim, 1)
 	add(1, 1)
-	return total, ok
+	if !ok {
+		return 0, fmt.Errorf("gnn: %+v has more weights than an int counts", c)
+	}
+	return total, nil
 }

@@ -97,8 +97,8 @@ func TestWeightCountMatchesNew(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, ok := m.Cfg.weightCount(); !ok || got != m.Params.NumParams() {
-					t.Fatalf("weightCount = %d, %v; New registered %d", got, ok, m.Params.NumParams())
+				if got, err := cfg.WeightCount(); err != nil || got != m.Params.NumParams() {
+					t.Fatalf("WeightCount = %d, %v; New registered %d", got, err, m.Params.NumParams())
 				}
 			})
 		}

@@ -11,10 +11,10 @@
 //
 //   - Reserve takes the job's requested ε off the budget at admission,
 //     before the job is queued — an exhausted budget denies admission;
-//   - Commit replaces the reservation with the actually-spent privacy
-//     loss at completion, as an RDP curve when the run's accountant
-//     parameters are known (tight composition) or as a scalar ε when
-//     only the observed spend survives (failed runs);
+//   - Commit replaces the reservation with the privacy loss the run
+//     actually released, whatever its outcome, as an RDP curve when the
+//     charge carries the run's accountant parameters (tight composition)
+//     or as a scalar ε otherwise;
 //   - Refund releases the reservation of a job that never spent
 //     anything (canceled while queued);
 //   - Forfeit commits the full reservation of a job whose true spend is
@@ -22,12 +22,13 @@
 //     conservative, privacy-safe resolution.
 //
 // With a path configured the ledger is durable: every transition appends
-// one JSON line to an append-only ledger.jsonl (same discipline as the
-// serve layer's jobs.jsonl — last record per reference wins, corrupt
-// lines are skipped), and Open replays the file so a restarted daemon
-// resumes with the exact committed balance, bit for bit: committed RDP
-// curves are re-derived from the persisted accountant parameters and
-// re-accumulated in original commit order.
+// one fsynced JSON line to an append-only ledger.jsonl (same discipline,
+// and the same nn.AppendJSON, as the serve layer's jobs.jsonl — last
+// record per reference wins, corrupt lines are skipped), and Open
+// replays the file so a restarted daemon resumes with the exact
+// committed balance, bit for bit: committed RDP curves are re-derived
+// from the persisted accountant parameters and re-accumulated in
+// original commit order.
 package ledger
 
 import (
@@ -72,8 +73,7 @@ type Charge struct {
 	// Iterations is the run's completed iteration count T.
 	Iterations int `json:"iterations,omitempty"`
 	// Epsilon is the run's own (ε, δ) guarantee — the scalar spend used
-	// when the accountant parameters are absent (e.g. a failed run where
-	// only the trainer's last observed ε survives). Scalars compose by
+	// when the accountant parameters are absent. Scalars compose by
 	// summation: valid, just looser than the RDP path.
 	Epsilon float64 `json:"epsilon"`
 }

@@ -308,3 +308,28 @@ func TestPublishPositions(t *testing.T) {
 	// No observer: a safe no-op.
 	l1.PublishPositions()
 }
+
+// TestAppendFailureKeepsEnforcingFromMemory: a ledger whose file cannot
+// be written (its directory is missing) logs each failed append and keeps
+// enforcing the budget from memory.
+func TestAppendFailureKeepsEnforcingFromMemory(t *testing.T) {
+	var logged int
+	l := mustOpen(t, Options{
+		Budget: 2,
+		Path:   filepath.Join(t.TempDir(), "missing", "ledger.jsonl"),
+		Logf:   func(string, ...any) { logged++ },
+	})
+	if err := l.Reserve("j1", "t", fpA, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if logged == 0 {
+		t.Fatal("failed append was not logged")
+	}
+	if err := l.Reserve("j2", "t", fpA, 1); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("second reservation = %v, want the budget enforced from memory", err)
+	}
+	l.Commit("j1", "t", fpA, Charge{Epsilon: 0.5})
+	if b := l.Balance("t", fpA); b.Committed != 0.5 || b.Reserved != 0 || b.Remaining != 1.5 {
+		t.Fatalf("balance after commit: %+v", b)
+	}
+}

@@ -1,10 +1,9 @@
 package ledger
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"os"
+
+	"privim/internal/nn"
 )
 
 // Ledger persistence mirrors the serve layer's jobs.jsonl discipline:
@@ -38,49 +37,23 @@ func (l *Ledger) appendLocked(rec record) {
 	if l.opts.Path == "" {
 		return
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		l.opts.Logf("ledger: marshal %s %s: %v", rec.State, rec.Ref, err)
-		return
-	}
-	f, err := os.OpenFile(l.opts.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		l.opts.Logf("ledger: %v", err)
-		return
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		l.opts.Logf("ledger: append %s: %v", rec.Ref, err)
+	if err := nn.AppendJSON(l.opts.Path, rec); err != nil {
+		l.opts.Logf("ledger: append %s %s: %v", rec.State, rec.Ref, err)
 	}
 }
 
 // replay restores the ledger from Options.Path. A missing file is a
-// fresh ledger, not an error.
+// fresh ledger; a file that cannot be read to its end is an error, since
+// the records past the failure could hold spend.
 func (l *Ledger) replay() error {
-	f, err := os.Open(l.opts.Path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	return nn.ReplayLines(l.opts.Path, func(lineNo int, line []byte) {
 		var rec record
 		// Every state except an anonymous commit needs a reference.
 		if err := json.Unmarshal(line, &rec); err != nil || (rec.Ref == "" && rec.State != stateCommitted) {
 			l.opts.Logf("ledger: %s: skipping corrupt line %d", l.opts.Path, lineNo)
-			continue
+			return
 		}
 		switch rec.State {
 		case stateReserved:
@@ -94,9 +67,5 @@ func (l *Ledger) replay() error {
 		default:
 			l.opts.Logf("ledger: %s: skipping unknown state %q on line %d", l.opts.Path, rec.State, lineNo)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		l.opts.Logf("ledger: %s: %v (replayed %d line(s) before the error)", l.opts.Path, err, lineNo)
-	}
-	return nil
+	})
 }

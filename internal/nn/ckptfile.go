@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -103,6 +106,60 @@ func ReadFileVerified(path string) ([]byte, error) {
 			ErrCheckpointCorrupt, path, got, want)
 	}
 	return payload, nil
+}
+
+// AppendJSON is the one durable write of an append-only JSONL table: it
+// appends v as one JSON line to path, fsyncs, closes, and returns the
+// first error, so a nil return means the line survives a power loss. The
+// append that creates the file also syncs its directory entry.
+func AppendJSON(path string, v any) error {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	created := os.IsNotExist(err)
+	if created {
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(line, '\n'))
+	if serr := f.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if created && err == nil {
+		syncDir(filepath.Dir(path))
+	}
+	return err
+}
+
+// ReplayLines reads a table AppendJSON wrote, calling apply with each
+// non-blank line (trimmed) and its 1-based number. A missing file is an
+// empty table. It returns the open error, or the read error that ended
+// the replay early — a line over 4 MiB, say — after applying every line
+// before it.
+func ReplayLines(path string, apply func(lineNo int, line []byte)) error {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+			apply(lineNo, line)
+		}
+	}
+	return sc.Err()
 }
 
 // crcWriter tees writes into a running CRC and byte count.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -306,5 +308,35 @@ func TestAdamStateRoundTripAndMismatch(t *testing.T) {
 	other.Add("w1", 3, 4)
 	if err := NewAdam(other, 0.01).StateFrom(bytes.NewReader(state.Bytes())); err == nil {
 		t.Fatal("Adam restored state written over a different layout")
+	}
+}
+
+// TestAppendJSONAndReplay: appended records replay in order with their
+// line numbers, blank lines are skipped, a missing table is empty, and an
+// append into a missing directory reports its error.
+func TestAppendJSONAndReplay(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "table.jsonl")
+	var got []string
+	if err := ReplayLines(path, func(int, []byte) { t.Fatal("missing table replayed a line") }); err != nil {
+		t.Fatalf("replaying a missing table: %v", err)
+	}
+	if err := AppendJSON(path, map[string]int{"a": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("{\"a\":1}\n  \n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendJSON(path, map[string]int{"b": 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplayLines(path, func(n int, line []byte) { got = append(got, fmt.Sprintf("%d:%s", n, line)) }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{`1:{"a":1}`, `3:{"b":2}`}; !slices.Equal(got, want) {
+		t.Fatalf("replayed %q, want %q", got, want)
+	}
+	if err := AppendJSON(filepath.Join(dir, "missing", "table.jsonl"), 1); err == nil {
+		t.Fatal("append into a missing directory reported no error")
 	}
 }

@@ -161,11 +161,11 @@ func (r *Registry) Emit(e Event) {
 		r.Counter("span.slow").Inc()
 		r.Histogram("span.slow.us").Observe(float64(ev.Elapsed) / float64(time.Microsecond))
 	case IterationEnd:
+		// Loss, gradient norm and clip fraction are unnoised statistics of
+		// the (private) training data; the registry feeds endpoints that
+		// no ledger charges, so only progress and spend land here.
 		r.Counter("train.iterations").Inc()
-		r.Gauge("train.loss").Set(ev.Loss)
 		r.Gauge("train.epsilon_spent").Set(ev.EpsilonSpent)
-		r.Gauge("train.clip_fraction").Set(ev.ClipFraction)
-		r.Histogram("train.grad_norm").Observe(ev.GradNorm)
 	case MCBatchDone:
 		r.Counter("diffusion.batches").Inc()
 		r.Counter("diffusion.simulations").Add(int64(ev.Rounds))

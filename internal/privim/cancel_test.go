@@ -21,9 +21,9 @@ func cancelAtIteration(cancel context.CancelFunc, at int) obs.Observer {
 }
 
 // TestTrainCancelResumesBitForBit is the cancellation tentpole: a run
-// canceled mid-train returns a typed CanceledError carrying exactly the
-// completed-iteration state and a final checkpoint, commits only the ε
-// those iterations released, and a rerun against the same checkpoint
+// canceled mid-train returns a typed CanceledError with a final
+// checkpoint beside the Result of exactly the completed iterations, whose
+// ε is what those iterations released, and a rerun against the same checkpoint
 // directory — at a different worker count — finishes bit-for-bit
 // identical to a run that was never interrupted.
 func TestTrainCancelResumesBitForBit(t *testing.T) {
@@ -45,7 +45,7 @@ func TestTrainCancelResumesBitForBit(t *testing.T) {
 	canceled.CheckpointDir = dir
 	canceled.CheckpointEvery = 100 // only the cancel-time save may produce the resume point
 	canceled.Observer = obs.Multi(trap, cancelAtIteration(cancel, 2))
-	_, err = Train(ctx, train, canceled)
+	partial, err := Train(ctx, train, canceled)
 	var cerr *CanceledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CanceledError", err)
@@ -59,14 +59,14 @@ func TestTrainCancelResumesBitForBit(t *testing.T) {
 	if cerr.CheckpointPath == "" {
 		t.Fatal("cancel with a checkpoint dir must write a final checkpoint")
 	}
-	acct, _ := baseline.Accountant()
-	if got, want := cerr.Partial.EpsilonSpent, acct.Epsilon(3, baseline.Config.Delta); math.Float64bits(got) != math.Float64bits(want) {
+	acct := baseline.Charge().Acct
+	if got, want := partial.EpsilonSpent, acct.Epsilon(3, baseline.Config.Delta); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("partial ε = %v, want the 3-iteration spend %v (full run: %v)", got, want, baseline.EpsilonSpent)
 	}
 	if n := trap.count("canceled"); n != 1 {
 		t.Fatalf("expected exactly one canceled event, got %d", n)
 	}
-	if got := len(cerr.Partial.LossHistory); got != 3 {
+	if got := len(partial.LossHistory); got != 3 {
 		t.Fatalf("partial LossHistory has %d entries, want 3", got)
 	}
 
@@ -98,7 +98,7 @@ func TestTrainPreCanceled(t *testing.T) {
 	cancel()
 	cfg := quickConfig(ModeDual)
 	cfg.CheckpointDir = t.TempDir()
-	_, err := Train(ctx, train, cfg)
+	res, err := Train(ctx, train, cfg)
 	var cerr *CanceledError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("err = %v, want *CanceledError", err)
@@ -106,8 +106,8 @@ func TestTrainPreCanceled(t *testing.T) {
 	if cerr.Iter != 0 {
 		t.Fatalf("Iter = %d, want 0", cerr.Iter)
 	}
-	if cerr.Partial.EpsilonSpent != 0 {
-		t.Fatalf("EpsilonSpent = %v for zero iterations, want 0", cerr.Partial.EpsilonSpent)
+	if res.EpsilonSpent != 0 || len(res.LossHistory) != 0 {
+		t.Fatalf("EpsilonSpent = %v, %d losses for zero iterations, want 0", res.EpsilonSpent, len(res.LossHistory))
 	}
 	if cerr.CheckpointPath != "" {
 		t.Fatalf("zero-iteration cancel wrote checkpoint %q", cerr.CheckpointPath)

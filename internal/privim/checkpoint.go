@@ -154,10 +154,10 @@ func checkpointPath(dir string, iter int) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-%08d.ckpt", iter))
 }
 
-// list returns the directory's checkpoint files sorted newest first
+// listCheckpoints returns dir's checkpoint files sorted newest first
 // (zero-padded iteration numbers make lexicographic order numeric).
-func (c *checkpointer) list() []string {
-	entries, err := os.ReadDir(c.dir)
+func listCheckpoints(dir string) []string {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
@@ -170,9 +170,22 @@ func (c *checkpointer) list() []string {
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	paths := make([]string, len(names))
 	for i, n := range names {
-		paths[i] = filepath.Join(c.dir, n)
+		paths[i] = filepath.Join(dir, n)
 	}
 	return paths
+}
+
+// HasCheckpoint reports whether dir holds a checkpoint file that passes
+// its integrity check — the cheap file-level screen that separates an
+// interrupted run Train can resume from one it must restart. (Train
+// also matches the checkpoint against the run's fingerprint on resume.)
+func HasCheckpoint(dir string) bool {
+	for _, path := range listCheckpoints(dir) {
+		if _, err := nn.ReadFileVerified(path); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // save writes the full training state after iter completed iterations
@@ -235,7 +248,7 @@ func (c *checkpointer) save(iter int, draws uint64, params *nn.ParamSet, opt *nn
 	}
 	obs.Emit(c.o, obs.CheckpointSaved{Iter: iter, Path: path, Bytes: n, Elapsed: time.Since(start)})
 
-	if paths := c.list(); len(paths) > checkpointKeep {
+	if paths := listCheckpoints(c.dir); len(paths) > checkpointKeep {
 		for _, old := range paths[checkpointKeep:] {
 			os.Remove(old) // best effort; a leftover is re-pruned next save
 		}
@@ -335,7 +348,7 @@ func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt *nn.Adam, src
 	reject := func(path, reason string) {
 		obs.Emit(c.o, obs.CheckpointRejected{Path: path, Reason: reason})
 	}
-	for _, path := range c.list() {
+	for _, path := range listCheckpoints(c.dir) {
 		payload, err := nn.ReadFileVerified(path)
 		if err != nil {
 			reject(path, err.Error())

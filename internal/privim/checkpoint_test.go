@@ -442,3 +442,39 @@ func TestCheckpointRetention(t *testing.T) {
 		t.Fatalf("newest retained checkpoint is %s, want iter 7", files[len(files)-1])
 	}
 }
+
+// TestTrainCheckpointWriteErrorReturnsPartialResult: a checkpoint save
+// that fails mid-training stops the run with the write error and the
+// Result of the iterations whose noise was already released, so a budget
+// ledger can charge them. A non-empty directory under the checkpoint's
+// name makes the rename fail even for root.
+func TestTrainCheckpointWriteErrorReturnsPartialResult(t *testing.T) {
+	ds := quickDataset(t)
+	train := ds.TrainSubgraph().G
+	dir := t.TempDir()
+	blocker := checkpointPath(dir, 10)
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig(ModeDual)
+	cfg.Iterations = 12
+	cfg.CheckpointDir = dir
+	cfg.CheckpointEvery = 10
+	res, err := Train(context.Background(), train, cfg)
+	if err == nil {
+		t.Fatal("Train succeeded although the checkpoint after iteration 10 could not be written")
+	}
+	if res == nil {
+		t.Fatalf("Train returned %v without the Result of the 10 iterations it ran", err)
+	}
+	if got := len(res.LossHistory); got != 10 {
+		t.Fatalf("LossHistory has %d entries, want 10", got)
+	}
+	c := res.Charge()
+	if want := c.Acct.Epsilon(10, res.Config.Delta); math.Float64bits(res.EpsilonSpent) != math.Float64bits(want) {
+		t.Fatalf("EpsilonSpent = %v, want the 10-iteration spend %v", res.EpsilonSpent, want)
+	}
+	if c.Iterations != 10 || math.Float64bits(c.Epsilon) != math.Float64bits(res.EpsilonSpent) {
+		t.Fatalf("Charge = %+v, want the 10 iterations at ε %v", c, res.EpsilonSpent)
+	}
+}

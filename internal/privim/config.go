@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"privim/internal/dataset"
 	"privim/internal/gnn"
 	"privim/internal/obs"
 )
@@ -133,7 +134,8 @@ type Config struct {
 
 // Validate reports a field no run can use: an unknown mode or objective,
 // an ε that is negative or NaN, a δ outside [0, 1), or a negative
-// iteration count or checkpoint cadence. Zero values select defaults.
+// iteration count, checkpoint cadence, hidden width or depth. Zero
+// values select defaults.
 // Train runs it first; the serving daemon runs it on a train request
 // before it reserves any budget.
 func (c Config) Validate() error {
@@ -156,8 +158,32 @@ func (c Config) Validate() error {
 		return fmt.Errorf("privim: iterations %d must be >= 0", c.Iterations)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("privim: checkpoint every %d must be >= 0", c.CheckpointEvery)
+	case c.HiddenDim < 0 || c.Layers < 0:
+		return fmt.Errorf("privim: hidden dim %d and layers %d must be >= 0", c.HiddenDim, c.Layers)
 	}
 	return nil
+}
+
+// Model returns the architecture Train builds for c: the mode's default
+// kind (GCN for HP and EGN, GRAT otherwise, per §V-A) unless GNNKind
+// overrides it, 32 hidden units and 3 layers unless set.
+func (c Config) Model() gnn.Config {
+	m := gnn.Config{Kind: c.GNNKind, InputDim: dataset.NumStructuralFeatures, HiddenDim: c.HiddenDim, Layers: c.Layers}
+	if m.Kind == "" {
+		switch c.Mode {
+		case ModeEGN, ModeHP:
+			m.Kind = gnn.GCN
+		default:
+			m.Kind = gnn.GRAT
+		}
+	}
+	if m.HiddenDim == 0 {
+		m.HiddenDim = 32
+	}
+	if m.Layers == 0 {
+		m.Layers = 3
+	}
+	return m
 }
 
 // normalize validates c and fills defaults; numNodes is the
@@ -169,20 +195,8 @@ func (c Config) normalize(numNodes int) (Config, error) {
 	if c.Mode == "" {
 		c.Mode = ModeDual
 	}
-	if c.GNNKind == "" {
-		switch c.Mode {
-		case ModeEGN, ModeHP:
-			c.GNNKind = gnn.GCN
-		default:
-			c.GNNKind = gnn.GRAT
-		}
-	}
-	if c.HiddenDim == 0 {
-		c.HiddenDim = 32
-	}
-	if c.Layers == 0 {
-		c.Layers = 3
-	}
+	m := c.Model()
+	c.GNNKind, c.HiddenDim, c.Layers = m.Kind, m.HiddenDim, m.Layers
 	if c.Mode == ModeNonPrivate {
 		c.Epsilon = math.Inf(1)
 	}
@@ -237,7 +251,7 @@ func (c Config) normalize(numNodes int) (Config, error) {
 	if c.Lambda == 0 {
 		c.Lambda = 0.5
 	}
-	if c.WeightDecay == 0 && c.privatized() {
+	if c.WeightDecay == 0 && c.Private() {
 		c.WeightDecay = 2
 	}
 	if c.Workers < 0 {
@@ -262,7 +276,11 @@ func (c Config) normalize(numNodes int) (Config, error) {
 	return c, nil
 }
 
-// privatized reports whether this config injects DP noise.
-func (c Config) privatized() bool {
+// Private reports whether a run of c injects DP noise and so spends
+// privacy budget: a finite positive ε outside non-private mode. It gives
+// the same answer before and after Train fills the defaults in (0 and
+// +Inf both mean non-private), so callers decide from the request alone
+// whether a run charges a budget ledger.
+func (c Config) Private() bool {
 	return c.Mode != ModeNonPrivate && !math.IsInf(c.Epsilon, 1) && c.Epsilon > 0
 }

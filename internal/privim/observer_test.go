@@ -92,10 +92,10 @@ func TestTrainEmitsEventStream(t *testing.T) {
 	if len(iters) != cfg.Iterations {
 		t.Fatalf("got %d IterationEnd events, want %d", len(iters), cfg.Iterations)
 	}
-	acct, ok := res.Accountant()
-	if !ok {
+	if !res.Private {
 		t.Fatal("private run has no accountant")
 	}
+	acct := res.Charge().Acct
 	prevEps := 0.0
 	for i, ev := range iters {
 		if ev.Iter != i {

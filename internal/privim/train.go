@@ -2,6 +2,7 @@ package privim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"privim/internal/gnn"
 	"privim/internal/graph"
 	"privim/internal/im"
+	"privim/internal/ledger"
 	"privim/internal/nn"
 	"privim/internal/obs"
 	"privim/internal/parallel"
@@ -31,9 +33,10 @@ type Result struct {
 	Sigma float64
 	// NoiseScale is the absolute per-coordinate noise std σ·Δ_g.
 	NoiseScale float64
-	// EpsilonSpent is the accountant's (ε, δ) guarantee after training
-	// (+Inf sentinel is never stored; non-private runs report 0 spend with
-	// Private=false).
+	// EpsilonSpent is the accountant's (ε, δ) guarantee for the
+	// iterations LossHistory records: the full run's when training
+	// completes, the completed iterations' when it stops early.
+	// Non-private runs report 0 with Private=false.
 	EpsilonSpent float64
 	Private      bool
 
@@ -48,22 +51,26 @@ type Result struct {
 	PerEpoch   time.Duration
 
 	// LossHistory records the mean per-sample training loss at each
-	// iteration (pre-noise, so it reflects what the model actually
-	// optimizes); useful for convergence diagnostics. LossHistory[t+1] is
-	// the loss at the post-noise parameters of iteration t, on the next
-	// batch.
+	// completed iteration, resumed ones included (pre-noise, so it
+	// reflects what the model actually optimizes); useful for convergence
+	// diagnostics. LossHistory[t+1] is the loss at the post-noise
+	// parameters of iteration t, on the next batch. Its length is the
+	// number of noisy iterations the run released.
 	LossHistory []float64
-	// acct is the run's RDP accountant (valid only when Private); exposed
-	// via Accountant for cross-run composition in budget ledgers.
+	// acct is the run's RDP accountant (valid only when Private); Charge
+	// carries it to budget ledgers, which compose runs at the Rényi level.
 	acct dp.Accountant
 }
 
-// Accountant returns the run's RDP accountant parameters, for composing
-// this run's privacy loss with other runs at the Rényi level (tighter
-// than summing (ε, δ) scalars). ok is false for non-private runs, which
-// have no accountant.
-func (r *Result) Accountant() (acct dp.Accountant, ok bool) {
-	return r.acct, r.Private
+// Charge is what a budget ledger commits for the run r reports, whatever
+// its outcome: the accountant, the completed iterations and the ε they
+// released. A nil Result (Train stopped before any noise) and a
+// non-private run charge nothing.
+func (r *Result) Charge() ledger.Charge {
+	if r == nil || !r.Private {
+		return ledger.Charge{}
+	}
+	return ledger.Charge{Acct: r.acct, Iterations: len(r.LossHistory), Epsilon: r.EpsilonSpent}
 }
 
 // Train runs the full pipeline of the configured method on the training
@@ -73,15 +80,18 @@ func (r *Result) Accountant() (acct dp.Accountant, ok bool) {
 // every event the run emits is attributable to the request that caused
 // it. A nil ctx means context.Background().
 //
-// Cancellation is honored at two preemption points — the top of every
-// DP-SGD iteration and the chunk boundaries of the per-sample gradient
-// pass — and never after an iteration's noisy update has been applied,
-// so a canceled run always stops on a completed-iteration boundary.
-// On cancel Train returns a *CanceledError carrying the partial Result
-// (model, loss history, and the ε actually spent), after writing a final
-// checkpoint when a checkpoint directory is configured. Runs that
-// complete without cancellation are bit-for-bit identical to runs under
-// an uncancelable context at any worker count.
+// Once Module 2 has fixed σ, Train returns the Result of the iterations
+// it ran with every error, so its EpsilonSpent and LossHistory say what
+// noise the run released; a nil Result means none was. Cancellation is
+// honored at two preemption points — the top of every DP-SGD iteration
+// and the chunk boundaries of the per-sample gradient pass — and never
+// after an iteration's noisy update has been applied, so a canceled run
+// always stops on a completed-iteration boundary. On cancel Train
+// returns a *CanceledError, after writing a final checkpoint when a
+// checkpoint directory is configured; a failed checkpoint write stops
+// the run the same way and returns the write error. Runs that complete
+// without cancellation are bit-for-bit identical to runs under an
+// uncancelable context at any worker count.
 func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -144,7 +154,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		}
 		return dp.EpsilonFromCurve(curve, cfg.Delta)
 	}
-	if cfg.privatized() {
+	if cfg.Private() {
 		ngEff, err := accountedBound(container, bound)
 		if err == nil {
 			sigma, err = dp.CalibrateSigma(cfg.Epsilon, cfg.Delta, cfg.Iterations, batch, container.Len(), ngEff)
@@ -161,21 +171,15 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		res.acct = dp.Accountant{M: container.Len(), B: batch, Ng: ngEff, Sigma: sigma}
 		unitCurve = res.acct.RDPCurve(1)
 		curve = make([]float64, len(unitCurve))
-		res.EpsilonSpent = epsilonAt(cfg.Iterations)
 		res.OccurrenceBound = ngEff
 	}
 	m2.End()
 
 	// Module 3: DP-GNN training (Algorithm 2).
-	model, err := gnn.New(gnn.Config{
-		Kind:      cfg.GNNKind,
-		InputDim:  dataset.NumStructuralFeatures,
-		HiddenDim: cfg.HiddenDim,
-		Layers:    cfg.Layers,
-	})
+	model, err := gnn.New(cfg.Model())
 	if err != nil {
 		root.End()
-		return nil, err
+		return res, err
 	}
 	if cfg.InitSeed != 0 {
 		model.Init(rand.New(rand.NewSource(cfg.InitSeed)))
@@ -229,11 +233,11 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	startIter := 0
 	var ck *checkpointer
 	if cfg.CheckpointDir != "" {
-		ck, err = newCheckpointer(cfg, g, res.Sigma, res.EpsilonSpent, o)
+		ck, err = newCheckpointer(cfg, g, res.Sigma, epsilonAt(cfg.Iterations), o)
 		if err != nil {
 			m3.End()
 			root.End()
-			return nil, err
+			return res, err
 		}
 		rs := m3.Child("checkpoint.resume")
 		st := ck.resume(cfg, model.Params, opt, src)
@@ -281,7 +285,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 			batchLosses[b] = loss.Value.Data[0] / float64(container.Subgraphs[idx].G.NumNodes())
 			nn.Collect(sc.bound, batchGrads[b])
 			switch {
-			case cfg.privatized():
+			case cfg.Private():
 				// ClipL2 reports the pre-clip norm for free.
 				batchNorms[b] = batchGrads[b].ClipL2(cfg.ClipBound)
 			case o != nil:
@@ -290,43 +294,49 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Cancellation plumbing. The clock is nil (free) for uncancelable
-	// contexts; canceled settles the partial result — true ε spent, final
-	// checkpoint, spans closed — and builds the CanceledError. draws must
-	// be the RNG position at the stop point's iteration boundary: when the
-	// gradient pass is interrupted the batch picks were already drawn, so
-	// the caller passes the position captured before them.
+	// stop is the loop's one early exit, after iter completed iterations:
+	// it settles the Result to what those iterations released and closes
+	// the spans. When err is ctx's error the run was canceled: stop
+	// writes a final checkpoint at draws, the RNG position at the stop
+	// point's iteration boundary (when the gradient pass is interrupted the
+	// batch picks were already drawn, so the caller passes the position
+	// captured before them), and returns a CanceledError. Any other err,
+	// a failed checkpoint write, is returned as it is, with no second
+	// write. The cancel clock is nil, and free, for uncancelable contexts.
 	clk := obs.WatchCancel(ctx)
 	defer clk.Stop()
-	canceled := func(iter int, draws uint64, cause error) error {
+	stop := func(iter int, draws uint64, err error) (*Result, error) {
 		res.EpsilonSpent = epsilonAt(iter)
-		cerr := &CanceledError{Partial: res, Iter: iter, Err: cause}
-		if ck != nil && iter > 0 {
-			cs := m3.Child("checkpoint.save")
-			if err := ck.save(iter, draws, model.Params, opt, res); err == nil {
-				cerr.CheckpointPath = checkpointPath(ck.dir, iter)
+		if errors.Is(err, ctx.Err()) {
+			cerr := &CanceledError{Iter: iter, Total: cfg.Iterations, Err: err}
+			if ck != nil && iter > 0 {
+				cs := m3.Child("checkpoint.save")
+				if err := ck.save(iter, draws, model.Params, opt, res); err == nil {
+					cerr.CheckpointPath = checkpointPath(ck.dir, iter)
+				}
+				cs.End()
 			}
-			cs.End()
+			obs.Emit(o, obs.Canceled{
+				Phase:   "train",
+				Done:    iter,
+				Total:   cfg.Iterations,
+				Reason:  err.Error(),
+				Latency: clk.Latency(),
+			})
+			err = cerr
 		}
 		if ran := iter - startIter; ran > 0 {
 			res.PerEpoch = time.Since(trainStart) / time.Duration(ran)
 		}
-		obs.Emit(o, obs.Canceled{
-			Phase:   "train",
-			Done:    iter,
-			Total:   cfg.Iterations,
-			Reason:  cause.Error(),
-			Latency: clk.Latency(),
-		})
 		m3.End()
 		root.End()
-		return cerr
+		return res, err
 	}
 
 	var poolStats parallel.Stats
 	for t := startIter; t < cfg.Iterations; t++ {
 		if err := ctx.Err(); err != nil {
-			return nil, canceled(t, src.Draws(), err)
+			return stop(t, src.Draws(), err)
 		}
 		// The RNG position at this iteration boundary, for the final
 		// checkpoint if the gradient pass below is interrupted.
@@ -338,7 +348,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		}
 		st, err := parallel.For(ctx, workers, batch, 1, gradPass)
 		if err != nil {
-			return nil, canceled(t, drawsBefore, err)
+			return stop(t, drawsBefore, err)
 		}
 		poolStats.Workers = st.Workers
 		poolStats.Chunks += st.Chunks
@@ -355,7 +365,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		}
 		meanLoss /= float64(batch)
 		res.LossHistory = append(res.LossHistory, meanLoss)
-		if cfg.privatized() {
+		if cfg.Private() {
 			switch cfg.Mode {
 			case ModeHP, ModeHPGRAT:
 				// HP pairs HeterPoisson sampling with symmetric multivariate
@@ -380,7 +390,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 			var gradNorm, clipped float64
 			for b := 0; b < batch; b++ {
 				gradNorm += batchNorms[b]
-				if cfg.privatized() && batchNorms[b] > cfg.ClipBound {
+				if cfg.Private() && batchNorms[b] > cfg.ClipBound {
 					clipped++
 				}
 			}
@@ -401,9 +411,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 			err := ck.save(t+1, src.Draws(), model.Params, opt, res)
 			cs.End()
 			if err != nil {
-				m3.End()
-				root.End()
-				return nil, err
+				return stop(t+1, 0, err)
 			}
 		}
 	}
@@ -422,6 +430,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 			Elapsed:   time.Since(trainStart),
 		})
 	}
+	res.EpsilonSpent = epsilonAt(cfg.Iterations)
 	m3.End()
 	root.End()
 	return res, nil

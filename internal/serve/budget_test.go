@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"privim/internal/dp"
 	"privim/internal/graph"
 	"privim/internal/ledger"
 	"privim/internal/obs"
@@ -176,15 +177,27 @@ func TestTrainRejectsNegativeEpsilonAndBadTenant(t *testing.T) {
 	}
 }
 
-// TestTrainRejectsUnrunnableConfig: bodies the trainer cannot run get
-// 400 before any ε is reserved, and the daemon keeps serving after them.
+// trainCrashBodies name models no daemon can allocate: building the
+// first dies with an out-of-memory fatal error that no recover catches,
+// and the second would take about 600 GB layer by layer.
+var trainCrashBodies = []string{
+	`{"graph":"g","hidden_dim":1099511627776,"epsilon":1}`,
+	`{"graph":"g","layers":67108864,"epsilon":1}`,
+}
+
+// TestTrainRejectsUnrunnableConfig: bodies the trainer cannot run, or
+// whose model is larger than a model upload may be, get 400 before any ε
+// is reserved, and the daemon keeps serving after them.
 func TestTrainRejectsUnrunnableConfig(t *testing.T) {
 	_, ts := budgetTestServer(t, Options{Budget: 5, TrainWorkers: 1, Logf: discard})
-	for _, body := range []string{
+	for _, body := range append([]string{
 		`{"graph":"g","iterations":-1,"epsilon":1}`,
 		`{"graph":"g","epsilon":1,"delta":2}`,
 		`{"graph":"g","epsilon":1,"delta":-1}`,
-	} {
+		`{"graph":"g","epsilon":1,"hidden_dim":-4}`,
+		`{"graph":"g","epsilon":1,"layers":-2}`,
+		`{"graph":"g","epsilon":1,"gnn":"transformer"}`,
+	}, trainCrashBodies...) {
 		var errBody map[string]string
 		if code := doTenant(t, ts, http.MethodPost, "/v1/train", "tenant-a", body, &errBody); code != 400 {
 			t.Fatalf("%s = %d, want 400", body, code)
@@ -395,9 +408,9 @@ func TestCrashWithoutCheckpointForfeitsReservation(t *testing.T) {
 	}
 }
 
-// TestFailedJobCommitsObservedSpend: satellite — a job that trains but
-// fails afterward (model registration) surfaces the trainer's last
-// observed ε on its status and commits exactly that to the ledger.
+// TestFailedJobCommitsObservedSpend: a job that trains but fails
+// afterward (model registration) surfaces the ε its iterations released
+// on its status and commits exactly that to the ledger.
 func TestFailedJobCommitsObservedSpend(t *testing.T) {
 	g := persistTestGraph()
 	m, l := newBudgetManager(t, t.TempDir(), 10)
@@ -421,5 +434,49 @@ func TestFailedJobCommitsObservedSpend(t *testing.T) {
 	}
 	if b.Reserved != 0 {
 		t.Fatalf("failed job left a reservation: %+v", b)
+	}
+}
+
+// TestFailedJobsComposeAtRDPLevel: two private jobs on one graph that both
+// fail after training commit the Results they released, so the ledger
+// composes them at the Rényi level like any other run: the committed ε is
+// their RDP composition, strictly below the sum of their own ε.
+func TestFailedJobsComposeAtRDPLevel(t *testing.T) {
+	g := persistTestGraph()
+	m, l := newBudgetManager(t, t.TempDir(), 10)
+	req := privateReq()
+	req.ModelName = "bad name!" // fails validName at registration time
+	var sum float64
+	var fp string
+	for i := 0; i < 2; i++ {
+		st, err := m.Submit(req, g, "t", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.run(m.dequeue())
+		got, _ := m.Get(st.ID)
+		if got.State != JobFailed || !got.Private || got.NumSubgraphs == 0 {
+			t.Fatalf("job %d = %+v, want a failed private job with its training summary", i, got)
+		}
+		sum += got.EpsilonSpent
+		fp = got.Fingerprint
+	}
+	cfg := req.config()
+	cfg.Delta = l.Delta()
+	res, err := core.Train(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := res.Charge().Acct.RDPCurve(req.Iterations)
+	want := dp.EpsilonFromCurve(dp.AddCurve(dp.AddCurve(nil, curve), curve), l.Delta())
+	b := l.Balance("t", fp)
+	if math.Float64bits(b.Committed) != math.Float64bits(want) {
+		t.Fatalf("committed %v, want the RDP composition %v of the two runs", b.Committed, want)
+	}
+	if !(b.Committed < sum) {
+		t.Fatalf("committed %v is not below the sum %v of the two runs' ε", b.Committed, sum)
+	}
+	if b.Reserved != 0 {
+		t.Fatalf("failed jobs left a reservation: %+v", b)
 	}
 }

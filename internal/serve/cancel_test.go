@@ -52,7 +52,7 @@ func TestCancelRunningJobE2E(t *testing.T) {
 	// iteration: the cancel then has real partial progress to settle.
 	ckptDir := filepath.Join(dir, "checkpoints", job.ID)
 	waitFor(t, 30*time.Second, "first training checkpoint", func() bool {
-		return hasRecoverableCheckpoint(ckptDir)
+		return core.HasCheckpoint(ckptDir)
 	})
 
 	delAt := time.Now()
@@ -98,7 +98,7 @@ func TestCancelRunningJobE2E(t *testing.T) {
 	}
 
 	// The final checkpoint survives the cancel, so the work is resumable.
-	if !hasRecoverableCheckpoint(ckptDir) {
+	if !core.HasCheckpoint(ckptDir) {
 		t.Fatal("canceled job left no resumable checkpoint")
 	}
 }
@@ -131,7 +131,7 @@ func TestCancelLedgerReplayConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 30*time.Second, "first training checkpoint", func() bool {
-		return hasRecoverableCheckpoint(m.checkpointDir(st.ID))
+		return core.HasCheckpoint(m.checkpointDir(st.ID))
 	})
 	if _, err := m.Cancel(st.ID); err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestDrainGracePreemptsRunningJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 30*time.Second, "first training checkpoint", func() bool {
-		return hasRecoverableCheckpoint(m.checkpointDir(running.ID))
+		return core.HasCheckpoint(m.checkpointDir(running.ID))
 	})
 	queued, err := m.Submit(req, g, "t", "")
 	if err != nil {
@@ -241,7 +241,7 @@ func TestDrainGracePreemptsRunningJobs(t *testing.T) {
 	if st, _ := m.Get(running.ID); st.State != JobCanceled {
 		t.Fatalf("running job after drain = %s, want canceled", st.State)
 	}
-	if !hasRecoverableCheckpoint(m.checkpointDir(running.ID)) {
+	if !core.HasCheckpoint(m.checkpointDir(running.ID)) {
 		t.Fatal("preempted job left no resumable checkpoint")
 	}
 	if st, _ := m.Get(queued.ID); st.State != JobQueued {

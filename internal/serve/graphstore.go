@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
 
-	"privim/internal/dataset"
 	"privim/internal/graph"
 )
 
@@ -37,32 +35,6 @@ type graphStore struct {
 
 func newGraphStore() *graphStore {
 	return &graphStore{graphs: make(map[string]*graphEntry)}
-}
-
-// parseGraphUpload decodes an uploaded graph body: the native
-// privim-edgelist format when its header is present, otherwise a
-// SNAP-style edge list (dense ID remap, uniform unit weights) — the same
-// detection cmd/privim applies to -graph files. A graph with more nodes
-// than the body has bytes is refused before Build allocates its per-node
-// arrays, so a short header cannot claim gigabytes; SNAP bodies always
-// meet that bound, because their IDs are remapped densely.
-func parseGraphUpload(data []byte) (*graph.Graph, error) {
-	if bytes.Contains(data, []byte("privim-edgelist")) {
-		b, err := graph.ParseEdgeList(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		if b.NumNodes() > len(data) {
-			return nil, fmt.Errorf("graph: %d nodes in a %d-byte body", b.NumNodes(), len(data))
-		}
-		return b.Build(), nil
-	}
-	g, err := dataset.LoadSNAP(bytes.NewReader(data), true)
-	if err != nil {
-		return nil, err
-	}
-	g.SetUniformWeights(1)
-	return g, nil
 }
 
 // Put stores g under name, replacing any previous content.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -108,7 +109,7 @@ func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	g, err := parseGraphUpload(data)
+	g, err := dataset.ParseGraph(data)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "parsing graph: %v", err)
 		return
@@ -306,20 +307,33 @@ func tenantOf(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return tenant, true
 }
 
-func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
+// decodeTrainRequest decodes a POST /v1/train body and admits it, before
+// a job exists or any ε is reserved: a valid model name, the trainer's
+// own Validate, and a model that holds no more weight bytes than the
+// daemon accepts as a model upload (maxBytes), so a short body cannot
+// make a job allocate what no recover catches.
+func decodeTrainRequest(r io.Reader, maxBytes int64) (TrainRequest, error) {
 	var req TrainRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
+	if err := json.NewDecoder(r).Decode(&req); err != nil {
+		return req, fmt.Errorf("decoding request: %w", err)
 	}
 	if req.ModelName != "" && !validName(req.ModelName) {
-		httpError(w, http.StatusBadRequest, "invalid model name %q", req.ModelName)
-		return
+		return req, fmt.Errorf("invalid model name %q", req.ModelName)
 	}
-	if err := req.config().Validate(); err != nil {
-		// The trainer's own check, run before a job exists or any ε is
-		// reserved.
+	cfg := req.config()
+	if err := cfg.Validate(); err != nil {
+		return req, err
+	}
+	weights, err := cfg.Model().WeightCount()
+	if err == nil && int64(weights) > maxBytes/8 {
+		err = fmt.Errorf("model of %d weights exceeds the %d-byte model limit", weights, maxBytes)
+	}
+	return req, err
+}
+
+func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeTrainRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), s.opts.MaxBodyBytes)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

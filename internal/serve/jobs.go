@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"privim/internal/gnn"
@@ -95,7 +93,8 @@ type JobStatus struct {
 	// key the ledger charges under (stable across graph renames).
 	Fingerprint string `json:"fingerprint,omitempty"`
 
-	// Training summary, populated on success.
+	// Training summary: the ε the run released and its extraction size,
+	// set whenever training got as far as fixing σ, whatever the outcome.
 	EpsilonSpent float64 `json:"epsilon_spent,omitempty"`
 	Private      bool    `json:"private,omitempty"`
 	NumSubgraphs int     `json:"num_subgraphs,omitempty"`
@@ -220,13 +219,6 @@ func (req TrainRequest) config() core.Config {
 	}
 }
 
-// privateRequest reports whether the request trains with DP noise —
-// mirrors core.Config.privatized after normalization (0 maps to +Inf),
-// so only jobs that actually spend privacy budget charge the ledger.
-func privateRequest(req TrainRequest) bool {
-	return req.Epsilon > 0 && !math.IsInf(req.Epsilon, 1) && core.Mode(req.Mode) != core.ModeNonPrivate
-}
-
 // Submit enqueues a training job over g (already resolved from
 // req.Graph, so a later graph delete cannot invalidate a queued job).
 // tenant is the budget account the job charges; trace is the submitting
@@ -252,7 +244,7 @@ func (m *jobManager) Submit(req TrainRequest, g *graph.Graph, tenant, trace stri
 	// Budget admission: reserve the requested ε under the job's future ID
 	// before consuming it, so a denied submission — like a full queue —
 	// leaves no gap in the job-XXXX sequence.
-	if m.budget != nil && privateRequest(req) {
+	if m.budget != nil && req.config().Private() {
 		ref := fmt.Sprintf("job-%04d", m.nextID+1)
 		if err := m.budget.Reserve(ref, tenant, fp, req.Epsilon); err != nil {
 			m.metrics.Counter("serve.jobs.denied").Inc()
@@ -473,19 +465,6 @@ func (m *jobManager) run(j *job) {
 	defer m.metrics.Gauge("serve.jobs.running").Dec()
 
 	observer := m.observer
-	// Private jobs track the trainer's running ε from its IterationEnd
-	// events: when the run fails partway, the noise already released is
-	// privacy spent all the same, and this is the only record of it. The
-	// failure path surfaces it on the job status and commits it to the
-	// budget ledger.
-	var lastEps atomic.Uint64
-	if privateRequest(req) {
-		observer = obs.Multi(observer, obs.ObserverFunc(func(e obs.Event) {
-			if it, ok := e.(obs.IterationEnd); ok {
-				lastEps.Store(math.Float64bits(it.EpsilonSpent))
-			}
-		}))
-	}
 	var journalPath string
 	var sink *obs.JSONLSink
 	var journalFile *os.File
@@ -506,7 +485,7 @@ func (m *jobManager) run(j *job) {
 	cfg := req.config()
 	cfg.Workers = m.perJobWorkers
 	cfg.Observer = observer
-	if cfg.Delta == 0 && m.budget != nil && privateRequest(req) {
+	if cfg.Delta == 0 && m.budget != nil && cfg.Private() {
 		// Budget-charged runs compose at the ledger's δ; calibrating the
 		// run at the same δ keeps its committed spend equal to its
 		// requested ε. (A run at a looser δ converts to a larger ε at the
@@ -559,61 +538,37 @@ func (m *jobManager) run(j *job) {
 	canceledAt := j.cancelAt
 	j.status.Finished = time.Now()
 	j.status.Journal = journalPath
+	if res != nil {
+		j.status.EpsilonSpent = res.EpsilonSpent
+		j.status.Private = res.Private
+		j.status.NumSubgraphs = res.NumSubgraphs
+	}
+	if m.budget != nil && cfg.Private() {
+		// Whatever the outcome, commit the noise the run released (noise
+		// already added is never refunded); the commit releases the rest
+		// of the reservation. It lands before the job-table append: a
+		// crash in between leaves the spend recorded and the re-commit
+		// idempotent, never a replayed job with a vanished charge.
+		m.budget.Commit(id, tenant, fp, res.Charge())
+	}
 	var cerr *core.CanceledError
-	if errors.As(err, &cerr) {
-		// Canceled at a preemption point: exactly cerr.Iter iterations of
-		// noise were released, and cerr.Partial carries the accountant's ε
-		// at that point. Commit that — never refund noise already added —
-		// and the commit releases the reservation's unspent remainder. The
-		// final checkpoint (kept below: err != nil skips the RemoveAll)
-		// lets a resubmitted run resume bit-for-bit.
+	switch {
+	case errors.As(err, &cerr):
+		// The final checkpoint (kept below: err != nil skips the
+		// RemoveAll) lets a resubmitted run resume bit-for-bit.
 		j.status.State = JobCanceled
 		j.status.Error = err.Error()
-		j.status.EpsilonSpent = cerr.Partial.EpsilonSpent
-		j.status.Private = cerr.Partial.Private
-		j.status.NumSubgraphs = cerr.Partial.NumSubgraphs
-		if m.budget != nil && privateRequest(req) {
-			acct, _ := cerr.Partial.Accountant()
-			m.budget.Commit(id, tenant, fp, ledger.Charge{
-				Acct:       acct,
-				Iterations: cerr.Iter,
-				Epsilon:    cerr.Partial.EpsilonSpent,
-			})
-		}
 		if !canceledAt.IsZero() {
 			m.metrics.Histogram("serve.jobs.cancel_latency_us").
 				Observe(float64(j.status.Finished.Sub(canceledAt).Microseconds()))
 		}
-	} else if err != nil {
+	case err != nil:
 		j.status.State = JobFailed
 		j.status.Error = err.Error()
-		// The ε the trainer had released before failing (0 when it never
-		// completed an iteration) — spent budget, success or not.
-		j.status.EpsilonSpent = math.Float64frombits(lastEps.Load())
-		if m.budget != nil && privateRequest(req) {
-			m.budget.Commit(id, tenant, fp, ledger.Charge{Epsilon: j.status.EpsilonSpent})
-		}
-	} else {
+	default:
 		j.status.State = JobDone
 		j.status.Model = modelRef
-		j.status.EpsilonSpent = res.EpsilonSpent
-		j.status.Private = res.Private
-		j.status.NumSubgraphs = res.NumSubgraphs
-		if m.budget != nil && res.Private {
-			// Commit the run's accountant parameters, not just the scalar:
-			// later runs against the same (tenant, graph) compose with this
-			// one at the RDP level, which is strictly tighter.
-			acct, _ := res.Accountant()
-			m.budget.Commit(id, tenant, fp, ledger.Charge{
-				Acct:       acct,
-				Iterations: res.Config.Iterations,
-				Epsilon:    res.EpsilonSpent,
-			})
-		}
 	}
-	// Ledger commits above come before the job-table append: a crash in
-	// between leaves the spend recorded and the terminal-state commit
-	// idempotent, never a replayed job with a vanished charge.
 	m.persistLocked(j)
 	m.mu.Unlock()
 	if err == nil && cfg.CheckpointDir != "" {
@@ -625,7 +580,7 @@ func (m *jobManager) run(j *job) {
 	switch {
 	case cerr != nil:
 		m.metrics.Counter("serve.jobs.canceled").Inc()
-		m.logf("serve: %s canceled after %d iterations (ε spent %.4g)", id, cerr.Iter, cerr.Partial.EpsilonSpent)
+		m.logf("serve: %s canceled after %d iterations (ε spent %.4g)", id, cerr.Iter, res.EpsilonSpent)
 	case err != nil:
 		m.metrics.Counter("serve.jobs.failed").Inc()
 		m.logf("serve: %s failed: %v", id, err)

@@ -1,22 +1,18 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"privim/internal/graph"
 	"privim/internal/nn"
+	core "privim/internal/privim"
 )
 
 // Job-table persistence. With a journal directory configured, the job
-// manager appends one JSON line per state transition to
+// manager appends one fsynced JSON line per state transition to
 // <journalDir>/jobs.jsonl — an append-only table where the last record
 // per job ID wins. On daemon restart, RecoverJobs replays the table:
 // finished jobs come back as history, queued jobs requeue, and jobs that
@@ -40,25 +36,14 @@ func (m *jobManager) checkpointDir(id string) string {
 	return filepath.Join(m.journalDir, "checkpoints", id)
 }
 
-// persistLocked appends j's current state to the job table; the caller
-// holds m.mu, which also serializes writers. Persistence failures are
-// logged, not fatal — the daemon keeps serving with in-memory state.
+// persistLocked durably appends j's current state to the job table; the
+// caller holds m.mu, which also serializes writers. Persistence failures
+// are logged, not fatal — the daemon keeps serving with in-memory state.
 func (m *jobManager) persistLocked(j *job) {
 	if m.journalDir == "" {
 		return
 	}
-	line, err := json.Marshal(jobRecord{Req: j.req, Status: j.status})
-	if err != nil {
-		m.logf("serve: job table: marshal %s: %v", j.status.ID, err)
-		return
-	}
-	f, err := os.OpenFile(m.jobTablePath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		m.logf("serve: job table: %v", err)
-		return
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	if err := nn.AppendJSON(m.jobTablePath(), jobRecord{Req: j.req, Status: j.status}); err != nil {
 		m.logf("serve: job table: append %s: %v", j.status.ID, err)
 	}
 }
@@ -67,61 +52,23 @@ func (m *jobManager) persistLocked(j *job) {
 // plus IDs in first-appearance (submission) order. Unparseable lines are
 // skipped with a log line.
 func loadJobTable(path string, logf func(string, ...any)) (map[string]jobRecord, []string) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil // no table yet — fresh journal directory
-	}
-	defer f.Close()
 	recs := make(map[string]jobRecord)
 	var order []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := nn.ReplayLines(path, func(lineNo int, line []byte) {
 		var rec jobRecord
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Status.ID == "" {
 			logf("serve: job table %s: skipping corrupt line %d", path, lineNo)
-			continue
+			return
 		}
 		if _, seen := recs[rec.Status.ID]; !seen {
 			order = append(order, rec.Status.ID)
 		}
 		recs[rec.Status.ID] = rec
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		logf("serve: job table %s: %v (recovered %d job(s) before the error)", path, err, len(order))
 	}
 	return recs, order
-}
-
-// hasRecoverableCheckpoint reports whether dir holds at least one
-// checkpoint file that passes integrity verification — the test that
-// separates a resumable interrupted job from an orphan. (Training
-// re-validates the checkpoint against the run fingerprint on resume;
-// this is the cheap file-level screen.)
-func hasRecoverableCheckpoint(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	var names []string
-	for _, e := range entries {
-		if name := e.Name(); strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".ckpt") {
-			names = append(names, name)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		if _, err := nn.ReadFileVerified(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // recover replays the job table into the manager. lookup resolves a
@@ -182,7 +129,7 @@ func (m *jobManager) recover(lookup func(string) *graph.Graph) (requeued, failed
 				fail(fmt.Sprintf("graph %q not available after restart", rec.Req.Graph))
 				continue
 			}
-			if interrupted && !hasRecoverableCheckpoint(m.checkpointDir(id)) {
+			if interrupted && !core.HasCheckpoint(m.checkpointDir(id)) {
 				fail("interrupted before a durable checkpoint; not recoverable")
 				continue
 			}

@@ -444,7 +444,9 @@ func TestUploadValidation(t *testing.T) {
 	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/graphs/big", big, nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized upload = %d, want 413", code)
 	}
-	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/train", []byte(`{"graph":"missing"}`), nil); code != 404 {
+	// A model within the 256-byte limit (13 weights), so only the graph
+	// is missing.
+	if code := doJSON(t, c, http.MethodPost, ts.URL+"/v1/train", []byte(`{"graph":"missing","hidden_dim":1,"layers":1}`), nil); code != 404 {
 		t.Fatalf("train on missing graph = %d, want 404", code)
 	}
 }

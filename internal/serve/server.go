@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"privim/internal/dataset"
 	"privim/internal/ledger"
 	"privim/internal/obs"
 	"privim/internal/obs/history"
@@ -105,13 +106,12 @@ type Options struct {
 	// (history.DefaultServeRules: per-tenant ε burn-rate when Budget > 0,
 	// job-queue depth, per-route p99 latency, heap growth).
 	AlertRules []history.Rule
-	// ProfileDir, when set, enables triggered diagnostics: a rule firing
-	// captures a pprof CPU+heap profile pair into this directory, bounded
-	// to the newest ProfileKeep pairs, and the alert records the artifact
-	// path.
-	ProfileDir string
-	// ProfileKeep bounds the profile ring (default 8 pairs).
-	ProfileKeep int
+	// Profiles, when set, enables triggered diagnostics: a rule firing
+	// captures a pprof CPU+heap profile pair into the ring, and the alert
+	// records the artifact path. A process shares one ring (privimd
+	// passes its -profile-dir ring), so captures never overlap and one
+	// prune bounds the directory.
+	Profiles *history.ProfileRing
 
 	// Registry receives the server's metrics (requests, latency, cache
 	// hit/miss, job counts); nil creates a private one. Sharing the
@@ -172,7 +172,6 @@ type Server struct {
 	budget    *ledger.Ledger // nil when neither Budget nor BudgetLedger is set
 	admission *admission
 	history   *history.Sampler
-	profiles  *history.ProfileRing // nil without Options.ProfileDir
 	mux       *http.ServeMux
 	handler   http.Handler
 	draining  atomic.Bool
@@ -217,22 +216,13 @@ func New(opts Options) (*Server, error) {
 		// balance and false-fire.
 		l.PublishPositions()
 	}
-	if opts.ProfileDir != "" {
-		pr, err := history.NewProfileRing(history.ProfileOptions{
-			Dir: opts.ProfileDir, Keep: opts.ProfileKeep, Logf: opts.Logf,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: profile ring: %w", err)
-		}
-		s.profiles = pr
-	}
 	s.history = history.New(history.Options{
 		Registry: s.reg,
 		Every:    opts.HistoryEvery,
 		Capacity: opts.HistoryCapacity,
 		Rules:    append(history.DefaultServeRules(opts.Budget, opts.TrainQueue), opts.AlertRules...),
 		Observer: opts.Observer,
-		Profiles: s.profiles,
+		Profiles: opts.Profiles,
 	})
 	s.history.Start()
 	// Training events always aggregate into the server registry (so
@@ -258,7 +248,7 @@ func New(opts Options) (*Server, error) {
 // programmatic twin of POST /v1/graphs/{name}, used by the daemon's
 // -graphs preload.
 func (s *Server) StoreGraph(name string, data []byte) (GraphInfo, error) {
-	g, err := parseGraphUpload(data)
+	g, err := dataset.ParseGraph(data)
 	if err != nil {
 		return GraphInfo{}, err
 	}
@@ -284,7 +274,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	// Stop sampling after the jobs settle so the final commits still land
 	// in history, then let any in-flight profile capture finish writing.
 	s.history.Close()
-	s.profiles.Wait()
+	s.opts.Profiles.Wait()
 	return err
 }
 

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +24,10 @@ const burnTrainBody = `{"graph":"g","epsilon":1,"iterations":6,"subgraph_size":8
 // ledger.epsilon_committed gauge, and the fired alert references an
 // on-disk pprof profile that `go tool pprof -raw` parses.
 func TestEpsilonBurnRateAlertEndToEnd(t *testing.T) {
-	profileDir := t.TempDir()
+	profiles, err := history.NewProfileRing(history.ProfileOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, ts := budgetTestServer(t, Options{
 		Budget:       5,
 		TrainWorkers: 1,
@@ -31,7 +36,7 @@ func TestEpsilonBurnRateAlertEndToEnd(t *testing.T) {
 		// Deep rings so the baseline sample survives the polling phases
 		// below (the default 360 points is only 1.8s at this tick).
 		HistoryCapacity: 16384,
-		ProfileDir:      profileDir,
+		Profiles:        profiles,
 		// The built-in tenant-epsilon-burn rule uses a 5m window and 1h
 		// horizon: any commit observed inside the window dwarfs the
 		// sustainable rate 5ε/1h, so it fires as soon as a delta exists.
@@ -194,5 +199,63 @@ func TestStatsEndpointServesRequestMetrics(t *testing.T) {
 			t.Fatalf("stats listing never gained route p99 + runtime series: %v", listing.Metrics)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPrivateTrainingStatsOffMetricEndpoints: a private job's loss,
+// gradient norm and clip fraction are unnoised statistics of the private
+// data that no ledger charges, so /metrics, /metrics/prom and /v1/stats
+// carry none of them; the job's progress and spend still show.
+func TestPrivateTrainingStatsOffMetricEndpoints(t *testing.T) {
+	_, ts := budgetTestServer(t, Options{Budget: 5, TrainWorkers: 1, HistoryEvery: 5 * time.Millisecond, Logf: discard})
+	var job JobStatus
+	if code := doTenant(t, ts, http.MethodPost, "/v1/train", "", fastTrainBody, &job); code != 202 {
+		t.Fatalf("train submit = %d", code)
+	}
+	if st := waitJobDone(t, ts, "", job.ID); st.State != JobDone || !st.Private {
+		t.Fatalf("job = %+v, want a done private job", st)
+	}
+	var stats struct {
+		Metrics []string `json:"metrics"`
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if code := doTenant(t, ts, http.MethodGet, "/v1/stats", "", "", &stats); code != 200 {
+			t.Fatalf("/v1/stats = %d", code)
+		}
+		if slices.Contains(stats.Metrics, "train.epsilon_spent") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("history never sampled the job's ε: %v", stats.Metrics)
+		}
+	}
+	var snap map[string]any
+	if code := doTenant(t, ts, http.MethodGet, "/metrics", "", "", &snap); code != 200 {
+		t.Fatalf("/metrics = %d", code)
+	}
+	if _, ok := snap["train.iterations"]; !ok {
+		t.Fatal("/metrics lost train.iterations")
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"train.loss", "train.grad_norm", "train.clip_fraction"} {
+		if _, ok := snap[name]; ok {
+			t.Errorf("/metrics publishes %s", name)
+		}
+		for _, key := range stats.Metrics {
+			if key == name || strings.HasPrefix(key, name+".") {
+				t.Errorf("/v1/stats publishes %s", key)
+			}
+		}
+		if family := "# TYPE " + strings.ReplaceAll(name, ".", "_") + " "; strings.Contains(string(prom), family) {
+			t.Errorf("/metrics/prom publishes the %s family", name)
+		}
 	}
 }

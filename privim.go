@@ -132,6 +132,9 @@ const (
 )
 
 // Train runs the configured method's full pipeline on the training graph.
+// Once the noise scale is fixed, an error comes with the Result of the
+// iterations that ran, whose EpsilonSpent and Charge are what the run
+// released; a nil Result means it released no noise.
 func Train(g *Graph, cfg Config) (*Result, error) { return core.Train(context.Background(), g, cfg) }
 
 // TrainContext is Train under a caller context: the run's span tree
@@ -142,12 +145,12 @@ func TrainContext(ctx context.Context, g *Graph, cfg Config) (*Result, error) {
 	return core.Train(ctx, g, cfg)
 }
 
-// TrainCanceledError is the typed error TrainContext returns when its
-// context fires: Partial holds the result as of the last completed
-// iteration, Iter the completed-iteration count, and CheckpointPath the
-// final checkpoint (when a checkpoint directory is configured) from
-// which a rerun resumes bit-for-bit. errors.Is(err, context.Canceled)
-// sees through it.
+// TrainCanceledError is the typed error TrainContext returns, beside the
+// Result of the completed iterations, when its context fires: Iter is
+// the completed-iteration count of Total, and CheckpointPath the final
+// checkpoint (when a checkpoint directory is configured) from which a
+// rerun resumes bit-for-bit. errors.Is(err, context.Canceled) sees
+// through it.
 type TrainCanceledError = core.CanceledError
 
 // DefaultIndicator returns the paper's fitted indicator parameters.
