@@ -66,11 +66,12 @@ examples:
 
 # Fuzz the untrusted-input decoders for 60 s each: edge lists, the
 # graph decoder behind uploads and -graph files, the daemon's train-body
-# admission check, and model checkpoint uploads.
+# admission check and query bodies, and model checkpoint uploads.
 fuzz:
 	$(GO) test -fuzz='^FuzzReadEdgeList$$' -fuzztime=60s -run '^FuzzReadEdgeList$$' ./internal/graph/
 	$(GO) test -fuzz='^FuzzGraphUpload$$' -fuzztime=60s -run '^FuzzGraphUpload$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzTrainBody$$' -fuzztime=60s -run '^FuzzTrainBody$$' ./internal/serve/
+	$(GO) test -fuzz='^FuzzQueryBody$$' -fuzztime=60s -run '^FuzzQueryBody$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=60s -run '^FuzzLoad$$' ./internal/gnn/
 
 # Durability suite under the race detector: atomic checkpoint files,

@@ -19,6 +19,7 @@ import (
 	"privim/internal/graph"
 	"privim/internal/im"
 	"privim/internal/obs"
+	"privim/internal/parallel"
 	core "privim/internal/privim"
 	"privim/internal/sampling"
 )
@@ -227,11 +228,12 @@ func benchGraph(n int) *graph.Graph {
 func BenchmarkICSimulate(b *testing.B) {
 	g := benchGraph(5000)
 	ic := &diffusion.IC{G: g}
-	rng := rand.New(rand.NewSource(2))
+	var rng parallel.StreamRNG
+	rng.SetStream(2, 0)
 	seeds := []graph.NodeID{0, 10, 100, 1000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ic.Simulate(seeds, rng)
+		ic.Simulate(seeds, &rng)
 	}
 }
 

@@ -2,9 +2,12 @@ package diffusion
 
 import (
 	"context"
+	"math"
 	"testing"
+	"unsafe"
 
 	"privim/internal/graph"
+	"privim/internal/parallel"
 )
 
 // allocTestGraph is big enough that a cascade touches many nodes, so any
@@ -101,5 +104,45 @@ func TestEstimateWorkerInvariant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEstimateRoundStreams pins the stream contract: round r of a seeded
+// Estimate draws from StreamRNG stream (seed, r), so the estimate equals,
+// bit for bit, the mean of Simulate over those streams at any width.
+func TestEstimateRoundStreams(t *testing.T) {
+	g := allocTestGraph()
+	seeds := []graph.NodeID{0, 50, 100}
+	const rounds, seed = 37, 11
+	for _, m := range []Model{&IC{G: g}, &LT{G: g}, &SIS{G: g, Recovery: 0.3, Steps: 10}} {
+		var rng parallel.StreamRNG
+		sum := 0
+		for r := 0; r < rounds; r++ {
+			rng.SetStream(seed, uint64(r))
+			sum += m.Simulate(seeds, &rng)
+		}
+		want := float64(sum) / rounds
+		for _, w := range []int{1, 2} {
+			got, err := Estimate(context.Background(), m, seeds, rounds, seed, Options{Workers: w})
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s workers=%d: Estimate = %v (%v), mean over streams (seed, r) = %v", m.Name(), w, got, err, want)
+			}
+		}
+	}
+}
+
+// TestEstimateStreamsOwnCacheLines guards against false sharing: every
+// worker's stream sits at least one 64-byte cache line past the last
+// counter the previous worker writes, so no two workers' streams, and no
+// stream and another worker's counters, share a line.
+func TestEstimateStreamsOwnCacheLines(t *testing.T) {
+	var st estState
+	st.reset(4, true)
+	for w := 1; w < len(st.slots); w++ {
+		prev := &st.slots[w-1]
+		last := uintptr(unsafe.Pointer(&prev.sizes[len(prev.sizes)-1]))
+		if d := uintptr(unsafe.Pointer(&st.slots[w].rng)) - last; d < 64 {
+			t.Fatalf("worker %d's stream sits %d bytes after worker %d's last counter, want >= 64", w, d, w-1)
+		}
 	}
 }

@@ -1,14 +1,14 @@
 // Package diffusion implements influence-propagation simulation: the
 // Independent Cascade model (Definition 6, the paper's evaluation model)
 // plus the Linear Threshold and SIS models named as future-work extensions.
-// Spread estimation is Monte Carlo with optional parallelism; all runs are
-// deterministic given a seed.
+// Spread estimation is Monte Carlo with optional parallelism; round r of
+// a seeded estimate draws from the StreamRNG stream (seed, r), so every run
+// is deterministic given its seed.
 package diffusion
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -41,7 +41,7 @@ func (e *CanceledError) Unwrap() error { return e.Err }
 type Model interface {
 	// Simulate runs a single stochastic cascade with rng and returns the
 	// final active count.
-	Simulate(seeds []graph.NodeID, rng *rand.Rand) int
+	Simulate(seeds []graph.NodeID, rng *parallel.StreamRNG) int
 	// Name identifies the model for reporting.
 	Name() string
 }
@@ -71,10 +71,9 @@ type icState struct {
 // Name implements Model.
 func (m *IC) Name() string { return "ic" }
 
-// Simulate implements Model. Safe for concurrent use; the draw order is
-// identical to the historical allocate-per-call implementation, so seeded
-// results are unchanged.
-func (m *IC) Simulate(seeds []graph.NodeID, rng *rand.Rand) int {
+// Simulate implements Model. Safe for concurrent use; it draws one
+// Float64 per arc it tries, in frontier order.
+func (m *IC) Simulate(seeds []graph.NodeID, rng *parallel.StreamRNG) int {
 	n := m.G.NumNodes()
 	s, _ := m.pool.Get().(*icState)
 	if s == nil || len(s.epoch) != n {
@@ -145,9 +144,9 @@ type ltState struct {
 // Name implements Model.
 func (m *LT) Name() string { return "lt" }
 
-// Simulate implements Model. Safe for concurrent use; seeded results are
-// identical to the historical allocate-per-call implementation.
-func (m *LT) Simulate(seeds []graph.NodeID, rng *rand.Rand) int {
+// Simulate implements Model. Safe for concurrent use; it draws the n
+// thresholds in node order before the cascade starts.
+func (m *LT) Simulate(seeds []graph.NodeID, rng *parallel.StreamRNG) int {
 	n := m.G.NumNodes()
 	s, _ := m.pool.Get().(*ltState)
 	if s == nil || len(s.active) != n {
@@ -237,7 +236,7 @@ func (m *SIS) Name() string { return "sis" }
 // implementation drained a map, so its round order — and therefore the
 // exact seeded trajectory — varied between runs; SIS is now deterministic
 // given a seed, like IC and LT).
-func (m *SIS) Simulate(seeds []graph.NodeID, rng *rand.Rand) int {
+func (m *SIS) Simulate(seeds []graph.NodeID, rng *parallel.StreamRNG) int {
 	if m.Steps < 1 {
 		panic("diffusion: SIS requires Steps >= 1")
 	}
@@ -321,9 +320,11 @@ type Options struct {
 
 // Estimate runs rounds Monte Carlo simulations of model from seeds and
 // returns the mean spread. Simulations fan out on the shared worker pool;
-// the result is deterministic for any worker count because each round
-// derives its own rng from the round index and the per-round spreads are
-// integers (an order-independent sum).
+// the result is deterministic for any worker count because round r draws
+// from the StreamRNG stream (seed, r), whichever worker runs it, and the
+// per-round spreads are integers (an order-independent sum). Callers that
+// pass one seed to several estimates (CELF's candidates) therefore get
+// common random numbers: round r sees the same stream in each.
 //
 // When ctx carries a span or opts.Obs is set, the batch runs inside a
 // "diffusion.estimate" span rooted under the context's span (or fresh on
@@ -359,11 +360,12 @@ func Estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int
 	clk := obs.WatchCancel(ctx)
 	_, err := parallel.For(ctx, workers, rounds, 8, st.body)
 	clk.Stop()
+	var sum, done int64
+	for i := range st.slots {
+		sum += st.slots[i].total
+		done += st.slots[i].done
+	}
 	if err != nil {
-		var done int64
-		for _, d := range st.done {
-			done += d
-		}
 		obs.Emit(o, obs.Canceled{
 			Phase:   "estimate",
 			Done:    int(done),
@@ -374,10 +376,6 @@ func Estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int
 		st.model, st.seeds = nil, nil
 		estPool.Put(st)
 		return 0, &CanceledError{Done: int(done), Total: rounds, Err: err}
-	}
-	var sum int64
-	for _, v := range st.totals {
-		sum += v
 	}
 	mean := float64(sum) / float64(rounds)
 	if o != nil {
@@ -390,8 +388,8 @@ func Estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int
 		if secs := ev.Elapsed.Seconds(); secs > 0 {
 			ev.SimsPerSec = float64(rounds) / secs
 		}
-		for _, s := range st.sizes {
-			for i, c := range s {
+		for w := range st.slots {
+			for i, c := range st.slots[w].sizes {
 				ev.SizeBuckets[i] += c
 			}
 		}
@@ -402,69 +400,54 @@ func Estimate(ctx context.Context, model Model, seeds []graph.NodeID, rounds int
 	return mean, nil
 }
 
-// estState is the reusable machinery behind Estimate: per-worker totals,
-// per-worker RNGs that are reseeded each round (rand.Rand.Seed(n) yields
-// the same stream as a fresh rand.New(rand.NewSource(n)), so seeded means
-// are unchanged), observer histograms, and the worker closure built once
-// so steady-state Estimate calls allocate nothing.
+// estState is the reusable machinery behind Estimate: one slot per
+// worker, whose stream is positioned at (seed, r) for each round r it
+// runs, and the worker closure built once, so steady-state Estimate calls
+// allocate nothing.
 type estState struct {
-	model  Model
-	seeds  []graph.NodeID
-	seed   int64
-	obsOn  bool
-	totals []int64
-	done   []int64 // rounds executed per worker (exact: chunks never stop mid-chunk)
-	rngs   []*rand.Rand
-	sizes  [][obs.NumBuckets]uint64
-	body   func(w, lo, hi int)
+	model Model
+	seeds []graph.NodeID
+	seed  int64
+	obsOn bool
+	slots []estSlot
+	body  func(w, lo, hi int)
+}
+
+// estSlot is one worker's share of a batch. No cache line may hold one
+// worker's stream and anything another worker writes: a bare
+// []StreamRNG, streams sharing lines, ran a 1,000-round IC estimate at
+// width 2 about 1.7× slower. The pad keeps the next slot's stream off
+// the line of this slot's last histogram buckets.
+type estSlot struct {
+	rng   parallel.StreamRNG
+	total int64
+	done  int64 // rounds executed (exact: chunks never stop mid-chunk)
+	sizes [obs.NumBuckets]uint64
+	_     [56]byte
 }
 
 var estPool = sync.Pool{New: func() any {
 	st := &estState{}
 	st.body = func(w, lo, hi int) {
-		rng := st.rngs[w]
-		var local int64
+		sl := &st.slots[w]
 		for r := lo; r < hi; r++ {
-			rng.Seed(st.seed + int64(r)*1_000_003)
-			n := st.model.Simulate(st.seeds, rng)
-			local += int64(n)
+			sl.rng.SetStream(st.seed, uint64(r))
+			n := st.model.Simulate(st.seeds, &sl.rng)
+			sl.total += int64(n)
 			if st.obsOn {
-				st.sizes[w][obs.BucketIndex(float64(n))]++
+				sl.sizes[obs.BucketIndex(float64(n))]++
 			}
 		}
-		st.totals[w] += local
-		st.done[w] += int64(hi - lo)
+		sl.done += int64(hi - lo)
 	}
 	return st
 }}
 
 func (st *estState) reset(workers int, obsOn bool) {
-	if cap(st.totals) < workers {
-		st.totals = make([]int64, workers)
+	if cap(st.slots) < workers {
+		st.slots = make([]estSlot, workers)
 	}
-	st.totals = st.totals[:workers]
-	for i := range st.totals {
-		st.totals[i] = 0
-	}
-	if cap(st.done) < workers {
-		st.done = make([]int64, workers)
-	}
-	st.done = st.done[:workers]
-	for i := range st.done {
-		st.done[i] = 0
-	}
-	for len(st.rngs) < workers {
-		st.rngs = append(st.rngs, rand.New(rand.NewSource(1)))
-	}
+	st.slots = st.slots[:workers]
+	clear(st.slots)
 	st.obsOn = obsOn
-	if !obsOn {
-		return
-	}
-	if cap(st.sizes) < workers {
-		st.sizes = make([][obs.NumBuckets]uint64, workers)
-	}
-	st.sizes = st.sizes[:workers]
-	for i := range st.sizes {
-		st.sizes[i] = [obs.NumBuckets]uint64{}
-	}
 }

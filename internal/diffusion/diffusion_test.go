@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"privim/internal/graph"
+	"privim/internal/parallel"
 )
 
 // estimate is Estimate under context.Background with default options,
@@ -15,6 +16,13 @@ import (
 func estimate(m Model, seeds []graph.NodeID, rounds int, seed int64) float64 {
 	mean, _ := Estimate(context.Background(), m, seeds, rounds, seed, Options{})
 	return mean
+}
+
+// stream returns a StreamRNG positioned at the start of stream (seed, 0).
+func stream(seed int64) *parallel.StreamRNG {
+	var rng parallel.StreamRNG
+	rng.SetStream(seed, 0)
+	return &rng
 }
 
 func lineGraph(n int, w float64) *graph.Graph {
@@ -29,7 +37,7 @@ func TestICDeterministicWeights(t *testing.T) {
 	// With w=1 the cascade is deterministic: everything reachable activates.
 	g := lineGraph(10, 1)
 	ic := &IC{G: g}
-	rng := rand.New(rand.NewSource(1))
+	rng := stream(1)
 	if got := ic.Simulate([]graph.NodeID{0}, rng); got != 10 {
 		t.Fatalf("spread = %d, want 10", got)
 	}
@@ -47,7 +55,7 @@ func TestICDeterministicWeights(t *testing.T) {
 func TestICMaxSteps(t *testing.T) {
 	g := lineGraph(10, 1)
 	ic := &IC{G: g, MaxSteps: 1}
-	rng := rand.New(rand.NewSource(1))
+	rng := stream(1)
 	// One step from node 0 reaches node 1 only.
 	if got := ic.Simulate([]graph.NodeID{0}, rng); got != 2 {
 		t.Fatalf("1-step spread = %d, want 2", got)
@@ -57,7 +65,7 @@ func TestICMaxSteps(t *testing.T) {
 func TestICDuplicateSeeds(t *testing.T) {
 	g := lineGraph(5, 0)
 	ic := &IC{G: g}
-	rng := rand.New(rand.NewSource(1))
+	rng := stream(1)
 	if got := ic.Simulate([]graph.NodeID{2, 2, 2}, rng); got != 1 {
 		t.Fatalf("duplicate seeds counted %d times", got)
 	}
@@ -81,7 +89,7 @@ func TestLTThresholds(t *testing.T) {
 	gb.AddEdge(0, 1, 1)
 	g := gb.Build()
 	lt := &LT{G: g}
-	rng := rand.New(rand.NewSource(2))
+	rng := stream(2)
 	for i := 0; i < 50; i++ {
 		if got := lt.Simulate([]graph.NodeID{0}, rng); got != 2 {
 			t.Fatalf("LT with weight 1: spread %d, want 2", got)
@@ -104,7 +112,7 @@ func TestLTAccumulation(t *testing.T) {
 	b.AddEdge(1, 2, 0.5)
 	g := b.Build()
 	lt := &LT{G: g}
-	rng := rand.New(rand.NewSource(3))
+	rng := stream(3)
 	for i := 0; i < 50; i++ {
 		if got := lt.Simulate([]graph.NodeID{0, 1}, rng); got != 3 {
 			t.Fatalf("LT accumulation: spread %d, want 3", got)
@@ -115,7 +123,7 @@ func TestLTAccumulation(t *testing.T) {
 func TestSISEverInfected(t *testing.T) {
 	g := lineGraph(5, 1)
 	sis := &SIS{G: g, Recovery: 1, Steps: 10} // immediate recovery
-	rng := rand.New(rand.NewSource(4))
+	rng := stream(4)
 	// Even with immediate recovery, transmission happens before recovery,
 	// so the infection still travels the line.
 	got := sis.Simulate([]graph.NodeID{0}, rng)
@@ -134,7 +142,7 @@ func TestSISEverInfected(t *testing.T) {
 func TestSISStepsBound(t *testing.T) {
 	g := lineGraph(10, 1)
 	sis := &SIS{G: g, Recovery: 0, Steps: 3}
-	rng := rand.New(rand.NewSource(5))
+	rng := stream(5)
 	if got := sis.Simulate([]graph.NodeID{0}, rng); got != 4 {
 		t.Fatalf("SIS 3 steps = %d nodes, want 4", got)
 	}
@@ -177,7 +185,7 @@ func TestICSpreadBoundsProperty(t *testing.T) {
 		g := b.Build()
 		seeds := []graph.NodeID{graph.NodeID(rng.Intn(30)), graph.NodeID(rng.Intn(30))}
 		unique := map[graph.NodeID]bool{seeds[0]: true, seeds[1]: true}
-		got := (&IC{G: g}).Simulate(seeds, rng)
+		got := (&IC{G: g}).Simulate(seeds, stream(seed))
 		return got >= len(unique) && got <= 30
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -348,9 +348,14 @@ func TestRegistry(t *testing.T) {
 	if !bytes.Contains(data, []byte("train.epsilon_spent")) {
 		t.Fatalf("snapshot JSON missing train.epsilon_spent: %s", data)
 	}
-	// Loss, gradient norm and clip fraction are unnoised statistics of
-	// private training; no registry series may carry them.
-	for _, name := range []string{"train.loss", "train.grad_norm", "train.clip_fraction"} {
+	// Loss, gradient norm, clip fraction and the extraction statistics
+	// are unnoised statistics of private training; no registry series
+	// may carry them.
+	for _, name := range []string{
+		"train.loss", "train.grad_norm", "train.clip_fraction",
+		"sampling.subgraphs", "sampling.walks", "sampling.max_occurrence",
+		"sampling.walk_len", "sampling.occurrences",
+	} {
 		if _, ok := snap[name]; ok {
 			t.Fatalf("registry publishes %s: %s", name, data)
 		}

@@ -211,12 +211,9 @@ func (r *Registry) Emit(e Event) {
 		r.Counter("alert.resolved").Inc()
 		r.Gauge("alert.active").Dec()
 	case ExtractionDone:
+		// Subgraph and walk counts, walk lengths and occurrences describe
+		// the private training graph, so only the run count lands here.
 		r.Counter("sampling.extractions").Inc()
-		r.Counter("sampling.subgraphs").Add(int64(ev.Subgraphs))
-		r.Counter("sampling.walks").Add(int64(ev.Walks))
-		r.Gauge("sampling.max_occurrence").Set(float64(ev.MaxOccurrence))
-		r.Histogram("sampling.walk_len").Merge(ev.WalkLenBuckets, 0)
-		r.Histogram("sampling.occurrences").Merge(ev.OccurrenceBuckets, 0)
 	}
 }
 

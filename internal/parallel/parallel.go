@@ -226,7 +226,8 @@ func (s *source) Seed(seed int64) { s.state = splitmix64(uint64(seed)) }
 // any worker count. Streams with the same (seed, i) are identical;
 // distinct indices decorrelate through a double SplitMix64 avalanche.
 // SetStream repositions it without allocating, so hot loops that burn
-// one stream per work item (RR-set draws) keep one StreamRNG per worker.
+// one stream per work item (RR-set draws, Monte-Carlo rounds) keep one
+// StreamRNG per worker.
 // Its draw methods run on the concrete SplitMix64 source, without
 // rand.Rand's interface call, and return exactly what the rand.Rand
 // methods of the same name return on rand.New over the same source: Go 1

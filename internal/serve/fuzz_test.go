@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"privim/internal/dataset"
 	"privim/internal/graph"
+	core "privim/internal/privim"
 )
 
 // FuzzGraphUpload drives dataset.ParseGraph, the decoder behind graph
@@ -64,6 +70,80 @@ func FuzzTrainBody(f *testing.F) {
 		weights, err := req.config().Model().WeightCount()
 		if err != nil || weights > maxBytes/8 {
 			t.Fatalf("admitted %q: %d weights (%v) against a %d-byte limit", body, weights, err, maxBytes)
+		}
+	})
+}
+
+// FuzzQueryBody posts arbitrary bytes to /v1/seeds and /v1/score on an
+// in-process server holding one small graph "g" and one model "m": no
+// body may panic the server or draw a 5xx, and a 200 from /v1/seeds must
+// list distinct, in-range nodes.
+func FuzzQueryBody(f *testing.F) {
+	for _, body := range []string{
+		`{"model":"m","graph":"g","k":3}`,
+		`{"model":"m@1","graph":"g"}`,
+		`{"model":"m","graph":"g","k":-1}`,
+		`{"model":"m","graph":"g","k":9223372036854775807}`,
+		`{"model":"m","graph":"g","k":1e300}`,
+		`{"model":"m","graph":"g","k":2}`, // k on /v1/score
+		`{"model":"nope","graph":"g","k":3}`,
+		`{"model":"m@7","graph":"g"}`,
+		`{"model":"m","graph":"nope"}`,
+		`{"model":"m","graph":"g","k":3`,
+		`{"model":`,
+	} {
+		f.Add(body)
+	}
+	g := persistTestGraph()
+	s, err := New(Options{Logf: discard})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.StoreGraph("g", buf.Bytes()); err != nil {
+		f.Fatal(err)
+	}
+	res, err := core.Train(context.Background(), g, core.Config{
+		Mode: core.ModeNonPrivate, SubgraphSize: 8, HiddenDim: 4, Layers: 2, Iterations: 2, BatchSize: 4, Seed: 1,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if err := res.SaveModel(&buf); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	up := httptest.NewRecorder()
+	h.ServeHTTP(up, httptest.NewRequest(http.MethodPost, "/v1/models/m", &buf))
+	if up.Code != http.StatusCreated {
+		f.Fatalf("model upload = %d: %s", up.Code, up.Body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, path := range []string{"/v1/seeds", "/v1/score"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("POST %s %q = %d: %s", path, body, rec.Code, rec.Body)
+			}
+			if path != "/v1/seeds" || rec.Code != http.StatusOK {
+				continue
+			}
+			var resp queryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("POST %s %q: decoding 200 body: %v", path, body, err)
+			}
+			seen := map[graph.NodeID]bool{}
+			for _, v := range resp.Seeds {
+				if v < 0 || int(v) >= g.NumNodes() || seen[v] {
+					t.Fatalf("POST %s %q: seeds %v hold a duplicate or out-of-range node", path, body, resp.Seeds)
+				}
+				seen[v] = true
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -99,9 +100,31 @@ type JobStatus struct {
 	Private      bool    `json:"private,omitempty"`
 	NumSubgraphs int     `json:"num_subgraphs,omitempty"`
 
+	// Started and Finished stay zero until the job starts and ends;
+	// MarshalJSON leaves them out while they are.
 	Created  time.Time `json:"created"`
-	Started  time.Time `json:"started,omitempty"`
-	Finished time.Time `json:"finished,omitempty"`
+	Started  time.Time `json:"started"`
+	Finished time.Time `json:"finished"`
+}
+
+// MarshalJSON encodes s with the zero Started and Finished times omitted:
+// encoding/json's omitempty never treats a time.Time as empty. Decoding
+// needs no counterpart, since a missing key and the zero time's string
+// both decode to the zero time.
+func (s JobStatus) MarshalJSON() ([]byte, error) {
+	type fields JobStatus // the same fields without this method
+	v := struct {
+		fields
+		Started  *time.Time `json:"started,omitempty"`
+		Finished *time.Time `json:"finished,omitempty"`
+	}{fields: fields(s)}
+	if !s.Started.IsZero() {
+		v.Started = &s.Started
+	}
+	if !s.Finished.IsZero() {
+		v.Finished = &s.Finished
+	}
+	return json.Marshal(v)
 }
 
 var (

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"testing"
 	"time"
 
@@ -203,5 +205,39 @@ func TestQueuedGaugeTracksQueue(t *testing.T) {
 	}
 	if v := queued.Value(); v != 0 {
 		t.Fatalf("queued gauge after dequeue = %v, want 0", v)
+	}
+}
+
+// TestJobTimesOmittedUntilSet: a queued job's 202 body carries no started
+// or finished key (encoding/json's omitempty never omits a time.Time, so
+// both used to read "0001-01-01T00:00:00Z"), and a done job's status
+// carries both.
+func TestJobTimesOmittedUntilSet(t *testing.T) {
+	_, ts := budgetTestServer(t, Options{TrainWorkers: 1, Logf: discard})
+	var queued map[string]json.RawMessage
+	if code := doTenant(t, ts, http.MethodPost, "/v1/train", "", fastTrainBody, &queued); code != 202 {
+		t.Fatalf("train submit = %d", code)
+	}
+	for _, key := range []string{"started", "finished"} {
+		if v, ok := queued[key]; ok {
+			t.Errorf("queued job's 202 body carries %s: %s", key, v)
+		}
+	}
+	var id string
+	if err := json.Unmarshal(queued["id"], &id); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJobDone(t, ts, "", id); st.State != JobDone {
+		t.Fatalf("job = %+v, want done", st)
+	}
+	var done map[string]json.RawMessage
+	if code := doTenant(t, ts, http.MethodGet, "/v1/jobs/"+id, "", "", &done); code != 200 {
+		t.Fatalf("job poll = %d", code)
+	}
+	for _, key := range []string{"created", "started", "finished"} {
+		var at time.Time
+		if err := json.Unmarshal(done[key], &at); err != nil || at.IsZero() {
+			t.Errorf("done job's %s = %s (%v), want a set time", key, done[key], err)
+		}
 	}
 }

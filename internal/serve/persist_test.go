@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math"
@@ -220,6 +221,48 @@ func TestJobTableSkipsCorruptLines(t *testing.T) {
 		if st, err := m2.Get(id); err != nil || st.State != JobQueued {
 			t.Fatalf("job %s after corrupt-table recovery: %+v, %v", id, st, err)
 		}
+	}
+}
+
+// TestJobTableReplaysZeroTimeLines: tables written before zero start and
+// finish times were omitted carry them as "0001-01-01T00:00:00Z"; those
+// lines replay like the new ones, which leave the keys out.
+func TestJobTableReplaysZeroTimeLines(t *testing.T) {
+	dir := t.TempDir()
+	g := persistTestGraph()
+	old := `{"req":{"graph":"g"},"status":{"id":"job-0001","state":"done","graph":"g","created":"2026-01-02T03:04:05Z","started":"2026-01-02T03:04:06Z","finished":"2026-01-02T03:04:07Z"}}
+{"req":{"graph":"g"},"status":{"id":"job-0002","state":"queued","graph":"g","created":"2026-01-02T03:04:08Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z"}}
+`
+	m1 := newPersistManager(dir)
+	if err := os.WriteFile(m1.jobTablePath(), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if re, fa := m1.recover(func(string) *graph.Graph { return g }); re != 1 || fa != 0 {
+		t.Fatalf("recover = (%d, %d), want (1, 0)", re, fa)
+	}
+	done, _ := m1.Get("job-0001")
+	if want := time.Date(2026, 1, 2, 3, 4, 7, 0, time.UTC); done.State != JobDone || !done.Finished.Equal(want) {
+		t.Fatalf("done job replayed as %+v", done)
+	}
+	if st, _ := m1.Get("job-0002"); st.State != JobQueued || !st.Started.IsZero() || !st.Finished.IsZero() {
+		t.Fatalf("queued job replayed as %+v", st)
+	}
+	// Recovery re-persisted the queued job in the new form, which a
+	// second restart replays the same way.
+	table, err := os.ReadFile(m1.jobTablePath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(table), []byte("\n"))
+	if last := lines[len(lines)-1]; bytes.Contains(last, []byte(`"started"`)) || bytes.Contains(last, []byte(`"finished"`)) {
+		t.Fatalf("re-persisted queued job keeps its zero times: %s", last)
+	}
+	m2 := newPersistManager(dir)
+	if re, fa := m2.recover(func(string) *graph.Graph { return g }); re != 1 || fa != 0 {
+		t.Fatalf("second recover = (%d, %d), want (1, 0)", re, fa)
+	}
+	if st, _ := m2.Get("job-0002"); st.State != JobQueued || !st.Started.IsZero() {
+		t.Fatalf("queued job after second replay: %+v", st)
 	}
 }
 

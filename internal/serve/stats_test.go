@@ -203,9 +203,10 @@ func TestStatsEndpointServesRequestMetrics(t *testing.T) {
 }
 
 // TestPrivateTrainingStatsOffMetricEndpoints: a private job's loss,
-// gradient norm and clip fraction are unnoised statistics of the private
-// data that no ledger charges, so /metrics, /metrics/prom and /v1/stats
-// carry none of them; the job's progress and spend still show.
+// gradient norm and clip fraction, and its extraction's subgraph and walk
+// counts, walk lengths and occurrences, are unnoised statistics of the
+// private data that no ledger charges, so /metrics, /metrics/prom and
+// /v1/stats carry none of them; the job's progress and spend still show.
 func TestPrivateTrainingStatsOffMetricEndpoints(t *testing.T) {
 	_, ts := budgetTestServer(t, Options{Budget: 5, TrainWorkers: 1, HistoryEvery: 5 * time.Millisecond, Logf: discard})
 	var job JobStatus
@@ -233,8 +234,10 @@ func TestPrivateTrainingStatsOffMetricEndpoints(t *testing.T) {
 	if code := doTenant(t, ts, http.MethodGet, "/metrics", "", "", &snap); code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if _, ok := snap["train.iterations"]; !ok {
-		t.Fatal("/metrics lost train.iterations")
+	for _, name := range []string{"train.iterations", "sampling.extractions"} {
+		if _, ok := snap[name]; !ok {
+			t.Fatalf("/metrics lost %s", name)
+		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics/prom")
 	if err != nil {
@@ -245,7 +248,11 @@ func TestPrivateTrainingStatsOffMetricEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"train.loss", "train.grad_norm", "train.clip_fraction"} {
+	for _, name := range []string{
+		"train.loss", "train.grad_norm", "train.clip_fraction",
+		"sampling.subgraphs", "sampling.walks", "sampling.max_occurrence",
+		"sampling.walk_len", "sampling.occurrences",
+	} {
 		if _, ok := snap[name]; ok {
 			t.Errorf("/metrics publishes %s", name)
 		}
