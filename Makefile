@@ -31,7 +31,8 @@ cover:
 
 # Steady-state allocation pins plus pooled-path determinism: the alloc
 # floors (parallel.For, GEMM, Monte-Carlo estimation, RR-set generation
-# and DP-SGD at pool widths 1, 2, 4 and 8, among others) run without
+# and DP-SGD at pool widths 1, 2, 4 and 8, and the heap bytes of one
+# GNN Score and one edge-list parse, among others) run without
 # -race (the race runtime drops sync.Pool Puts, so floors don't hold
 # there); the workers-1-vs-N bit-equality re-runs over
 # the same pooled paths run under -race. The floor run's output is
@@ -39,7 +40,7 @@ cover:
 # floor fails the target.
 alloc-smoke:
 	@out=$$($(GO) test -run 'SteadyState' -v ./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/obs/history/ ./internal/autodiff/ \
-		./internal/parallel/ ./internal/tensor/ 2>&1); \
+		./internal/parallel/ ./internal/tensor/ ./internal/gnn/ ./internal/graph/ 2>&1); \
 	status=$$?; printf '%s\n' "$$out" | grep -v '^=== RUN'; exit $$status
 	$(GO) test -race -run 'WorkerInvariant|BitExact|StreamStable' \
 		./internal/privim/ ./internal/diffusion/ ./internal/im/ ./internal/nn/ ./internal/tensor/ ./internal/autodiff/

@@ -87,11 +87,18 @@ func (t *Tape) Len() int { return len(t.nodes) }
 // and tape-owned matrices from the previous pass become invalid: anything
 // that must survive — losses, scores, gradients — has to be copied out
 // first (nn.Collect does). Leaf matrices are caller-owned and untouched.
+//
+// The recycled matrices go on the free list in reverse take order, and
+// take pops from its end, so a pass that repeats the previous one's
+// shapes gets each of its buffers back exactly: its k-th take pops the
+// matrix the previous pass's k-th take held.
 func (t *Tape) Reset() {
 	t.nodes = t.nodes[:0]
 	t.block, t.used = 0, 0
 	t.nattn = 0
-	t.free = append(t.free, t.owned...)
+	for i := len(t.owned) - 1; i >= 0; i-- {
+		t.free = append(t.free, t.owned[i])
+	}
 	t.owned = t.owned[:0]
 }
 

@@ -50,7 +50,7 @@ func ParseGraph(data []byte) (*graph.Graph, error) {
 // files; the offline benchmark suite uses the synthetic surrogates.
 func LoadSNAP(r io.Reader, directed bool) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows from the default 4 KiB up to a 1 MiB line
 	b := graph.NewBuilder(0, directed)
 	ids := make(map[int64]graph.NodeID)
 	intern := func(raw int64) graph.NodeID {

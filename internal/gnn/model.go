@@ -144,6 +144,11 @@ func (m *Model) Init(rng *rand.Rand) { m.Params.GlorotInit(rng) }
 // loops appended, the form attention layers consume.
 func edgeList(g *graph.Graph) (dst, src []int32) {
 	n := g.NumNodes()
+	arcs := n // one self loop per node
+	for u := 0; u < n; u++ {
+		arcs += g.InDegree(graph.NodeID(u))
+	}
+	dst, src = make([]int32, 0, arcs), make([]int32, 0, arcs)
 	for u := 0; u < n; u++ {
 		for _, a := range g.In(graph.NodeID(u)) {
 			dst = append(dst, int32(u))
@@ -233,13 +238,16 @@ func (m *Model) NewPrep(g *graph.Graph) *Prep {
 // same model kind and graph: training loops build one Prep per subgraph
 // and reuse it across iterations.
 func (m *Model) Forward(tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) *autodiff.Node {
-	out, _ := m.forward(context.Background(), tp, bound, g, x, p) // Background never cancels
-	return out
+	m.check(g, x, p)
+	h := tp.Leaf(x)
+	for l := 0; l < m.Cfg.Layers; l++ {
+		h = m.layer(l, tp, bound, h, p)
+	}
+	return m.readout(tp, bound, h, x)
 }
 
-// forward is Forward under a context, checked before every layer, so a
-// canceled inference stops within one layer's SpMM/GEMM work.
-func (m *Model) forward(ctx context.Context, tp *autodiff.Tape, bound []*autodiff.Node, g *graph.Graph, x *tensor.Matrix, p *Prep) (*autodiff.Node, error) {
+// check panics unless x and p fit m over g.
+func (m *Model) check(g *graph.Graph, x *tensor.Matrix, p *Prep) {
 	if x.Rows != g.NumNodes() || x.Cols != m.Cfg.InputDim {
 		panic(fmt.Sprintf("gnn: Forward features %dx%d for graph with %d nodes, input dim %d",
 			x.Rows, x.Cols, g.NumNodes(), m.Cfg.InputDim))
@@ -248,29 +256,24 @@ func (m *Model) forward(ctx context.Context, tp *autodiff.Tape, bound []*autodif
 		panic(fmt.Sprintf("gnn: Forward prep built for kind %q / %d nodes, model is %q / %d",
 			p.kind, p.n, m.Cfg.Kind, g.NumNodes()))
 	}
-	h := tp.Leaf(x)
+}
+
+// layer records message-passing layer l over the node states h and
+// returns the layer's n×HiddenDim output.
+func (m *Model) layer(l int, tp *autodiff.Tape, bound []*autodiff.Node, h *autodiff.Node, p *Prep) *autodiff.Node {
+	refs := m.layers[l]
 	switch m.Cfg.Kind {
 	case GCN:
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			agg := autodiff.SpMM(p.adj, h)
-			z := autodiff.MatMul(agg, bound[m.layers[l].w])
-			z = autodiff.AddRowBroadcast(z, bound[m.layers[l].b])
-			h = autodiff.ReLU(z)
-		}
+		agg := autodiff.SpMM(p.adj, h)
+		z := autodiff.MatMul(agg, bound[refs.w])
+		z = autodiff.AddRowBroadcast(z, bound[refs.b])
+		return autodiff.ReLU(z)
 	case GraphSAGE:
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			neigh := autodiff.SpMM(p.adj, h)
-			cat := autodiff.ConcatCols(h, neigh)
-			z := autodiff.MatMul(cat, bound[m.layers[l].w])
-			z = autodiff.AddRowBroadcast(z, bound[m.layers[l].b])
-			h = autodiff.ReLU(z)
-		}
+		neigh := autodiff.SpMM(p.adj, h)
+		cat := autodiff.ConcatCols(h, neigh)
+		z := autodiff.MatMul(cat, bound[refs.w])
+		z = autodiff.AddRowBroadcast(z, bound[refs.b])
+		return autodiff.ReLU(z)
 	case GAT, GRAT:
 		// GAT normalizes attention over each destination's in-edges
 		// (Eq. 35); GRAT normalizes over each source's out-edges (Eq. 39),
@@ -279,58 +282,68 @@ func (m *Model) forward(ctx context.Context, tp *autodiff.Tape, bound []*autodif
 		if m.Cfg.Kind == GRAT {
 			seg = p.src
 		}
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			refs := m.layers[l]
-			wh := autodiff.MatMul(h, bound[refs.w])
-			// Each head computes its own attention distribution over the
-			// shared projection; head outputs are averaged.
-			heads := bound[refs.attn : refs.attn+m.Cfg.Heads]
-			agg := autodiff.Attention(wh, heads, p.dst, p.src, seg, m.Cfg.LeakySlope)
-			agg = autodiff.AddRowBroadcast(agg, bound[refs.b])
-			h = autodiff.ReLU(agg)
-		}
-	case GIN:
-		for l := 0; l < m.Cfg.Layers; l++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			neigh := autodiff.SpMM(p.adj, h)
-			// (1+ε)·h + Σ_neighbors h, with learnable scalar ε broadcast.
-			epsNode := bound[m.layers[l].eps]
-			col := autodiff.MatMul(tp.Leaf(p.ones), epsNode) // n×1 of ε
-			scaled := autodiff.MulColBroadcast(h, col)
-			z := autodiff.Add(autodiff.Add(h, scaled), neigh)
-			z = autodiff.MatMul(z, bound[m.layers[l].w])
-			z = autodiff.ReLU(z)
-			z = autodiff.MatMul(z, bound[m.layers[l].w2])
-			z = autodiff.AddRowBroadcast(z, bound[m.layers[l].b])
-			h = autodiff.ReLU(z)
-		}
+		wh := autodiff.MatMul(h, bound[refs.w])
+		// Each head computes its own attention distribution over the
+		// shared projection; head outputs are averaged.
+		heads := bound[refs.attn : refs.attn+m.Cfg.Heads]
+		agg := autodiff.Attention(wh, heads, p.dst, p.src, seg, m.Cfg.LeakySlope)
+		agg = autodiff.AddRowBroadcast(agg, bound[refs.b])
+		return autodiff.ReLU(agg)
+	default: // GIN
+		neigh := autodiff.SpMM(p.adj, h)
+		// (1+ε)·h + Σ_neighbors h, with learnable scalar ε broadcast.
+		col := autodiff.MatMul(tp.Leaf(p.ones), bound[refs.eps]) // n×1 of ε
+		scaled := autodiff.MulColBroadcast(h, col)
+		z := autodiff.Add(autodiff.Add(h, scaled), neigh)
+		z = autodiff.MatMul(z, bound[refs.w])
+		z = autodiff.ReLU(z)
+		z = autodiff.MatMul(z, bound[refs.w2])
+		z = autodiff.AddRowBroadcast(z, bound[refs.b])
+		return autodiff.ReLU(z)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+}
+
+// readout maps the last layer's states h and the raw features x to the
+// n×1 seed probabilities.
+func (m *Model) readout(tp *autodiff.Tape, bound []*autodiff.Node, h *autodiff.Node, x *tensor.Matrix) *autodiff.Node {
 	skip := autodiff.ConcatCols(h, tp.Leaf(x))
 	logits := autodiff.MatMul(skip, bound[m.readoutW])
 	logits = autodiff.AddRowBroadcast(logits, bound[m.readoutB])
-	return autodiff.Sigmoid(logits), nil
+	return autodiff.Sigmoid(logits)
 }
 
 // Score runs a forward pass outside any training loop and returns the
-// plain seed probabilities for graph g. The pass checks ctx between
+// plain seed probabilities for graph g, bit for bit what Forward gives.
+// Nothing is differentiated, so each layer runs on one tape that is
+// Reset once the layer's output has been copied into a buffer of Score's
+// own: a pass holds one layer's intermediates at a time, and each layer
+// reuses the previous one's matrices. The pass checks ctx between
 // layers, so a canceled or deadline-expired query stops within one
 // layer's SpMM/GEMM work instead of running the full model; it then
 // returns ctx's error. Under context.Background it never errors.
 func (m *Model) Score(ctx context.Context, g *graph.Graph, x *tensor.Matrix) ([]float64, error) {
+	p := m.NewPrep(g)
+	m.check(g, x, p)
 	tp := autodiff.NewTape()
-	bound := nn.Bind(tp, m.Params)
-	out, err := m.forward(ctx, tp, bound, g, x, m.NewPrep(g))
-	if err != nil {
+	var bound []*autodiff.Node
+	h := x
+	hidden := tensor.New(g.NumNodes(), m.Cfg.HiddenDim)
+	for l := 0; l < m.Cfg.Layers; l++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		tp.Reset()
+		bound = nn.BindInto(tp, m.Params, bound)
+		out := m.layer(l, tp, bound, tp.Leaf(h), p)
+		copy(hidden.Data, out.Value.Data)
+		h = hidden
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	tp.Reset()
+	bound = nn.BindInto(tp, m.Params, bound)
+	out := m.readout(tp, bound, tp.Leaf(h), x)
 	scores := make([]float64, g.NumNodes())
 	copy(scores, out.Value.Data)
 	return scores, nil

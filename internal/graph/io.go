@@ -50,7 +50,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 // It rejects any node ID or nodes= value of 2³¹−1 or more.
 func ParseEdgeList(r io.Reader) (*Builder, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows from the default 4 KiB up to a 1 MiB line
 	var b *Builder
 	nodes, directed := 0, true
 	lineNo := 0

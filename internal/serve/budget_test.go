@@ -246,7 +246,7 @@ func newBudgetManager(t *testing.T, dir string, budget float64) (*jobManager, *l
 func privateReq() TrainRequest {
 	return TrainRequest{
 		Graph: "g", Epsilon: 4, Iterations: 6, SubgraphSize: 8,
-		HiddenDim: 4, Layers: 2, BatchSize: 4, Seed: 3,
+		HiddenDim: 4, Layers: 2, BatchSize: 4, Seed: seedPtr(3),
 	}
 }
 
@@ -314,7 +314,7 @@ func TestBudgetSurvivesDaemonCrash(t *testing.T) {
 	// default for budget-charged jobs.
 	crashCfg := core.Config{
 		Epsilon: req.Epsilon, Delta: m1.budget.Delta(), Iterations: req.Iterations, SubgraphSize: req.SubgraphSize,
-		HiddenDim: req.HiddenDim, Layers: req.Layers, BatchSize: req.BatchSize, Seed: req.Seed,
+		HiddenDim: req.HiddenDim, Layers: req.Layers, BatchSize: req.BatchSize, Seed: req.seed(),
 		Workers: 1, CheckpointDir: m1.checkpointDir(st.ID), CheckpointEvery: m1.checkpointEvery,
 		Observer: obs.ObserverFunc(func(e obs.Event) {
 			if ie, ok := e.(obs.IterationEnd); ok && ie.Iter == 3 {

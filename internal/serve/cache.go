@@ -3,25 +3,33 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"privim/internal/graph"
 )
 
-// cacheKey identifies one memoized query result: the fully resolved
-// model reference ("name@version"), the graph's content fingerprint
-// (graph.Fingerprint), the seed-set size (0 for score queries), and the
-// query mode ("seeds" / "score"). Keying on the fingerprint rather than
-// the store name means re-uploading the same graph under another name —
-// or replacing a name with different content — hits or misses correctly
-// for free.
+// cacheKey identifies one forward pass: the fully resolved model
+// reference ("name@version") and the graph's content fingerprint
+// (graph.Fingerprint). Keying on the fingerprint rather than the store
+// name means re-uploading the same graph under another name — or
+// replacing a name with different content — hits or misses correctly
+// for free. The query's k and mode are not part of the key: one pass
+// answers /v1/score and /v1/seeds for every k.
 type cacheKey struct {
 	Model       string
 	Fingerprint uint64
-	K           int
-	Mode        string
+}
+
+// scored is one forward pass of a model over a graph: the score vector
+// and every node ID in rank order (im.TopKScores over all n nodes, so
+// the top k for any k is a prefix). It is immutable once cached;
+// responses share its slices read-only.
+type scored struct {
+	scores []float64
+	rank   []graph.NodeID
 }
 
 // lruCache is a fixed-capacity least-recently-used map from cacheKey to
-// an immutable cached response value. Safe for concurrent use; cached
-// values must never be mutated after Put.
+// a forward pass. Safe for concurrent use.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -31,14 +39,8 @@ type lruCache struct {
 
 type cacheEntry struct {
 	key cacheKey
-	val any
+	val *scored
 }
-
-// cacheCopier lets values opt into defensive copying at insertion: Put
-// stores the copy, so the cache owns its data outright and later mutation
-// of the original's backing arrays (solver buffer reuse, caller-side
-// sorting) cannot corrupt memoized responses.
-type cacheCopier interface{ CopyForCache() any }
 
 // newLRUCache returns an empty cache holding at most capacity entries
 // (capacity < 1 is clamped to 1).
@@ -53,8 +55,8 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// Get returns the cached value for k, marking it most recently used.
-func (c *lruCache) Get(k cacheKey) (any, bool) {
+// Get returns the cached pass for k, marking it most recently used.
+func (c *lruCache) Get(k cacheKey) (*scored, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
@@ -66,12 +68,8 @@ func (c *lruCache) Get(k cacheKey) (any, bool) {
 }
 
 // Put inserts or refreshes k→v, evicting the least recently used entry
-// when the cache is full. Values implementing cacheCopier are stored by
-// copy.
-func (c *lruCache) Put(k cacheKey, v any) {
-	if cp, ok := v.(cacheCopier); ok {
-		v = cp.CopyForCache()
-	}
+// when the cache is full.
+func (c *lruCache) Put(k cacheKey, v *scored) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {

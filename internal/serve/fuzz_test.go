@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,7 +10,6 @@ import (
 
 	"privim/internal/dataset"
 	"privim/internal/graph"
-	core "privim/internal/privim"
 )
 
 // FuzzGraphUpload drives dataset.ParseGraph, the decoder behind graph
@@ -94,35 +91,8 @@ func FuzzQueryBody(f *testing.F) {
 	} {
 		f.Add(body)
 	}
-	g := persistTestGraph()
-	s, err := New(Options{Logf: discard})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { s.Close() })
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := s.StoreGraph("g", buf.Bytes()); err != nil {
-		f.Fatal(err)
-	}
-	res, err := core.Train(context.Background(), g, core.Config{
-		Mode: core.ModeNonPrivate, SubgraphSize: 8, HiddenDim: 4, Layers: 2, Iterations: 2, BatchSize: 4, Seed: 1,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	buf.Reset()
-	if err := res.SaveModel(&buf); err != nil {
-		f.Fatal(err)
-	}
+	s, g := newQueryServer(f)
 	h := s.Handler()
-	up := httptest.NewRecorder()
-	h.ServeHTTP(up, httptest.NewRequest(http.MethodPost, "/v1/models/m", &buf))
-	if up.Code != http.StatusCreated {
-		f.Fatalf("model upload = %d: %s", up.Code, up.Body)
-	}
 	f.Fuzz(func(t *testing.T, body string) {
 		for _, path := range []string{"/v1/seeds", "/v1/score"} {
 			rec := httptest.NewRecorder()

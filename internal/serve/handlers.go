@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -151,7 +150,8 @@ type queryRequest struct {
 }
 
 // queryResponse answers both query endpoints; Seeds is set for /v1/seeds
-// and Scores for /v1/score. Cached reports whether the LRU answered.
+// and Scores for /v1/score. Graph is the store name the request asked
+// for, and Cached reports that no forward pass ran for this request.
 type queryResponse struct {
 	Model       string         `json:"model"`
 	Graph       string         `json:"graph"`
@@ -160,15 +160,6 @@ type queryResponse struct {
 	Seeds       []graph.NodeID `json:"seeds,omitempty"`
 	Scores      []float64      `json:"scores,omitempty"`
 	Cached      bool           `json:"cached"`
-}
-
-// CopyForCache implements cacheCopier: the cached response deep-copies
-// its slice-valued fields, so the memoized seeds/scores stay intact even
-// if the compute path's backing arrays are reused or mutated later.
-func (q queryResponse) CopyForCache() any {
-	q.Seeds = append([]graph.NodeID(nil), q.Seeds...)
-	q.Scores = append([]float64(nil), q.Scores...)
-	return q
 }
 
 // resolveQuery decodes and resolves the shared parts of a query request.
@@ -202,41 +193,33 @@ func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request) (*modelEnt
 	return me, ge, req, true
 }
 
-// score runs the model forward pass over a stored graph with the
-// standard structural features — the serve-time twin of Result.Scores.
-// It honors ctx between layers, so a canceled request (client gone, or
-// the QueryTimeout deadline http.TimeoutHandler set on the request
-// context) stops computing instead of finishing for nobody.
-func score(ctx context.Context, me *modelEntry, ge *graphEntry) ([]float64, error) {
-	x := tensor.FromSlice(ge.g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(ge.g))
-	return me.model.Score(ctx, ge.g, x)
-}
-
-// answer serves the query through the LRU cache: a hit returns the
-// memoized response (marked Cached), a miss computes under the request
-// context, stores, and returns it. A canceled computation answers 503
-// and is never cached.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, mode string, me *modelEntry, ge *graphEntry,
-	k int, compute func(ctx context.Context) (queryResponse, error)) {
-	key := cacheKey{Model: me.info.Ref(), Fingerprint: ge.fp, K: k, Mode: mode}
-	if v, ok := s.cache.Get(key); ok {
+// score returns the ranked forward pass of me over ge. A hit (hit true)
+// comes from the LRU cache. A miss runs the model over the standard
+// structural features, as Result.Scores does, ranks the nodes once and
+// caches the pass. The pass honors the request context between layers,
+// so a canceled request (client gone, or the QueryTimeout deadline
+// http.TimeoutHandler set on the request context) stops computing
+// instead of finishing for nobody; score then answers 503 itself,
+// returns ok false and caches nothing.
+func (s *Server) score(w http.ResponseWriter, r *http.Request, me *modelEntry, ge *graphEntry) (sc *scored, hit, ok bool) {
+	key := cacheKey{Model: me.info.Ref(), Fingerprint: ge.fp}
+	if sc, ok := s.cache.Get(key); ok {
 		s.reg.Counter("serve.cache.hits").Inc()
-		resp := v.(queryResponse)
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, resp)
-		return
+		return sc, true, true
 	}
 	s.reg.Counter("serve.cache.misses").Inc()
 	clk := obs.WatchCancel(r.Context())
 	defer clk.Stop()
-	resp, err := compute(r.Context())
+	x := tensor.FromSlice(ge.g.NumNodes(), dataset.NumStructuralFeatures, dataset.StructuralFeatures(ge.g))
+	scores, err := me.model.Score(r.Context(), ge.g, x)
 	if err != nil {
 		s.reg.Emit(obs.Canceled{Phase: "query", Reason: err.Error(), Latency: clk.Latency()})
 		httpError(w, http.StatusServiceUnavailable, "query canceled: %v", err)
-		return
+		return nil, false, false
 	}
-	s.cache.Put(key, resp)
-	writeJSON(w, http.StatusOK, resp)
+	sc = &scored{scores: scores, rank: im.TopKScores(scores, len(scores))}
+	s.cache.Put(key, sc)
+	return sc, false, true
 }
 
 func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
@@ -248,18 +231,17 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	if k == 0 {
 		k = 10
 	}
-	s.answer(w, r, "seeds", me, ge, k, func(ctx context.Context) (queryResponse, error) {
-		scores, err := score(ctx, me, ge)
-		if err != nil {
-			return queryResponse{}, err
-		}
-		return queryResponse{
-			Model:       me.info.Ref(),
-			Graph:       ge.info.Name,
-			Fingerprint: ge.info.Fingerprint,
-			K:           k,
-			Seeds:       im.TopKScores(scores, k),
-		}, nil
+	sc, hit, ok := s.score(w, r, me, ge)
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, queryResponse{
+		Model:       me.info.Ref(),
+		Graph:       req.Graph,
+		Fingerprint: ge.info.Fingerprint,
+		K:           k,
+		Seeds:       sc.rank[:min(k, len(sc.rank))],
+		Cached:      hit,
 	})
 }
 
@@ -272,17 +254,16 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "k is a /v1/seeds parameter; /v1/score returns all nodes")
 		return
 	}
-	s.answer(w, r, "score", me, ge, 0, func(ctx context.Context) (queryResponse, error) {
-		scores, err := score(ctx, me, ge)
-		if err != nil {
-			return queryResponse{}, err
-		}
-		return queryResponse{
-			Model:       me.info.Ref(),
-			Graph:       ge.info.Name,
-			Fingerprint: ge.info.Fingerprint,
-			Scores:      scores,
-		}, nil
+	sc, hit, ok := s.score(w, r, me, ge)
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, queryResponse{
+		Model:       me.info.Ref(),
+		Graph:       req.Graph,
+		Fingerprint: ge.info.Fingerprint,
+		Scores:      sc.scores,
+		Cached:      hit,
 	})
 }
 

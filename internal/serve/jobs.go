@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,6 +51,15 @@ const (
 // negative is rejected with 400 before a job is created. Only private
 // requests (finite positive ε outside non-private mode) charge the
 // tenant's budget ledger.
+//
+// Seed fixes the run's randomness: extraction, initialization, batch
+// picks and the DP noise. A private request without one gets a secret
+// seed from crypto/rand when it is admitted, kept only in the job table
+// (jobs.jsonl) so restart recovery resumes the same run; it appears in
+// no response, journal line or metric. An explicit seed, 0 included,
+// makes the run reproducible, and the privacy guarantee then does not
+// hold against whoever knows it. A job-table line without a seed
+// replays as 0.
 type TrainRequest struct {
 	Graph     string  `json:"graph"`
 	ModelName string  `json:"model_name,omitempty"` // registry destination; default: the job ID
@@ -65,7 +76,7 @@ type TrainRequest struct {
 	HiddenDim    int     `json:"hidden_dim,omitempty"`
 	Layers       int     `json:"layers,omitempty"`
 	BatchSize    int     `json:"batch_size,omitempty"`
-	Seed         int64   `json:"seed,omitempty"`
+	Seed         *int64  `json:"seed,omitempty"`
 }
 
 // JobStatus is the public view of one job, returned by the submit and
@@ -238,8 +249,26 @@ func (req TrainRequest) config() core.Config {
 		HiddenDim:    req.HiddenDim,
 		Layers:       req.Layers,
 		BatchSize:    req.BatchSize,
-		Seed:         req.Seed,
+		Seed:         req.seed(),
 	}
+}
+
+// seed is the request's seed, 0 when unset.
+func (req TrainRequest) seed() int64 {
+	if req.Seed == nil {
+		return 0
+	}
+	return *req.Seed
+}
+
+// secretSeed draws a seed no client can know.
+func secretSeed() (*int64, error) {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return nil, fmt.Errorf("drawing a secret seed: %w", err)
+	}
+	seed := int64(binary.LittleEndian.Uint64(b[:]))
+	return &seed, nil
 }
 
 // Submit enqueues a training job over g (already resolved from
@@ -264,10 +293,18 @@ func (m *jobManager) Submit(req TrainRequest, g *graph.Graph, tenant, trace stri
 		tenant = DefaultTenant
 	}
 	fp := fmt.Sprintf("%016x", g.Fingerprint())
+	private := req.config().Private()
+	if private && req.Seed == nil {
+		seed, err := secretSeed()
+		if err != nil {
+			return JobStatus{}, err
+		}
+		req.Seed = seed
+	}
 	// Budget admission: reserve the requested ε under the job's future ID
 	// before consuming it, so a denied submission — like a full queue —
 	// leaves no gap in the job-XXXX sequence.
-	if m.budget != nil && req.config().Private() {
+	if m.budget != nil && private {
 		ref := fmt.Sprintf("job-%04d", m.nextID+1)
 		if err := m.budget.Reserve(ref, tenant, fp, req.Epsilon); err != nil {
 			m.metrics.Counter("serve.jobs.denied").Inc()

@@ -301,7 +301,7 @@ func TestInterruptedJobResumesAndMatchesBaseline(t *testing.T) {
 		HiddenDim:    4,
 		Layers:       2,
 		BatchSize:    4,
-		Seed:         3,
+		Seed:         seedPtr(3),
 	}
 	// cfg mirrors jobManager.run's request mapping.
 	cfg := core.Config{
@@ -311,7 +311,7 @@ func TestInterruptedJobResumesAndMatchesBaseline(t *testing.T) {
 		HiddenDim:    req.HiddenDim,
 		Layers:       req.Layers,
 		BatchSize:    req.BatchSize,
-		Seed:         req.Seed,
+		Seed:         req.seed(),
 		Workers:      1,
 	}
 	baseline, err := core.Train(context.Background(), g, cfg)

@@ -10,9 +10,11 @@
 //     graph.Fingerprint, the deterministic FNV-1a hash of the canonical
 //     node/edge/weight stream;
 //   - query endpoints (POST /v1/score, POST /v1/seeds) backed by an LRU
-//     result cache keyed by (model@version, fingerprint, k, mode) — the
-//     paper's deployment shape, where the non-private indicator is
-//     queried repeatedly against one privately trained model;
+//     cache of forward passes keyed by (model@version, fingerprint): one
+//     pass, its nodes ranked once, answers the scores and the seeds for
+//     every k — the paper's deployment shape, where the non-private
+//     indicator is queried repeatedly against one privately trained
+//     model;
 //   - an async training-job API (POST /v1/train → job ID → poll/cancel)
 //     running privim.Train on a bounded worker pool, each job journaling
 //     its event stream to per-job JSONL;
@@ -84,7 +86,8 @@ type Options struct {
 	// TrainQueue bounds queued-but-not-running jobs; a full queue 429s
 	// (default 16).
 	TrainQueue int
-	// CacheSize bounds the LRU result cache entry count (default 256).
+	// CacheSize bounds the LRU cache's entry count, one forward pass per
+	// (model@version, graph fingerprint) (default 256).
 	CacheSize int
 	// DrainGrace bounds how long Drain waits for running training jobs
 	// before preempting them: once it elapses, each running job's context
