@@ -65,11 +65,14 @@ examples:
 	$(GO) run ./examples/maxcover
 	$(GO) run ./examples/ldpseeding
 
-# Fuzz the untrusted-input decoders for 60 s each: edge lists, the
-# graph decoder behind uploads and -graph files, the daemon's train-body
+# Fuzz the untrusted-input decoders for 60 s each: edge lists (alone,
+# and each dialect against the line scanner it replaced), the graph
+# decoder behind uploads and -graph files, the daemon's train-body
 # admission check and query bodies, and model checkpoint uploads.
 fuzz:
 	$(GO) test -fuzz='^FuzzReadEdgeList$$' -fuzztime=60s -run '^FuzzReadEdgeList$$' ./internal/graph/
+	$(GO) test -fuzz='^FuzzEdgeListMatchesScanner$$' -fuzztime=60s -run '^FuzzEdgeListMatchesScanner$$' ./internal/graph/
+	$(GO) test -fuzz='^FuzzSNAPMatchesScanner$$' -fuzztime=60s -run '^FuzzSNAPMatchesScanner$$' ./internal/graph/
 	$(GO) test -fuzz='^FuzzGraphUpload$$' -fuzztime=60s -run '^FuzzGraphUpload$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzTrainBody$$' -fuzztime=60s -run '^FuzzTrainBody$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzQueryBody$$' -fuzztime=60s -run '^FuzzQueryBody$$' ./internal/serve/

@@ -4,7 +4,7 @@
 // then measure how well a threshold attacker can tell the two worlds apart
 // from the models' outputs. For an (ε, δ)-DP trainer the attacker's
 // advantage is bounded; the audit reports the empirical lower bound
-// ε̂ = ln(TPR/FPR), which must not exceed the accountant's ε (up to
+// ε̂ = ln((TPR − δ)/FPR), which must not exceed the accountant's ε (up to
 // sampling error). Non-private training should show near-perfect
 // distinguishability on a high-influence target.
 //
@@ -48,9 +48,11 @@ type Report struct {
 	Accuracy float64
 	// EmpiricalEpsLower is the attack-derived lower bound on ε, maximized
 	// over thresholds, computed from 95% Clopper-Pearson confidence bounds
-	// as ln(TPR_lo / FPR_hi). A valid (ε, δ)-DP trainer keeps this below ε
-	// with 95% confidence; small run counts therefore yield conservative
-	// (often zero) bounds, which is the statistically honest answer.
+	// as ln((TPR_lo − δ) / FPR_hi) at the larger δ the two worlds' private
+	// runs were accounted at, skipping thresholds with TPR_lo ≤ δ. A valid
+	// (ε, δ)-DP trainer keeps this below ε with 95% confidence; small run
+	// counts therefore yield conservative (often zero) bounds, which is the
+	// statistically honest answer.
 	EmpiricalEpsLower float64
 	// TheoreticalEps is the accountant's guarantee for the audited config
 	// (+Inf for non-private runs).
@@ -82,7 +84,7 @@ func Run(g *graph.Graph, cfg Config) (*Report, error) {
 	probeX := tensor.FromSlice(without.NumNodes(), dataset.NumStructuralFeatures,
 		dataset.StructuralFeatures(without))
 
-	statistic := func(train *graph.Graph, seed int64) (float64, float64, error) {
+	statistic := func(train *graph.Graph, seed int64) (stat, eps, delta float64, err error) {
 		tc := cfg.Train
 		tc.Seed = seed
 		// Pin initialization across runs: init is public in the DP threat
@@ -92,38 +94,40 @@ func Run(g *graph.Graph, cfg Config) (*Report, error) {
 		}
 		res, err := core.Train(context.Background(), train, tc)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		scores, _ := res.Model.Score(context.Background(), without, probeX) // Background never cancels
 		mean := 0.0
 		for _, s := range scores {
 			mean += s
 		}
-		eps := math.Inf(1)
+		eps = math.Inf(1)
 		if res.Private {
-			eps = res.EpsilonSpent
+			eps, delta = res.EpsilonSpent, res.Config.Delta
 		}
-		return mean / float64(len(scores)), eps, nil
+		return mean / float64(len(scores)), eps, delta, nil
 	}
 
 	rep := &Report{Target: target, TheoreticalEps: math.Inf(1)}
+	delta := 0.0
 	for r := 0; r < cfg.Runs; r++ {
 		seed := cfg.Seed + int64(r)*104729
-		sWith, eps, err := statistic(g, seed)
+		sWith, eps, deltaWith, err := statistic(g, seed)
 		if err != nil {
 			return nil, err
 		}
 		if eps < rep.TheoreticalEps {
 			rep.TheoreticalEps = eps
 		}
-		sWithout, _, err := statistic(without, seed+1)
+		sWithout, _, deltaWithout, err := statistic(without, seed+1)
 		if err != nil {
 			return nil, err
 		}
+		delta = max(delta, deltaWith, deltaWithout)
 		rep.WithStats = append(rep.WithStats, sWith)
 		rep.WithoutStats = append(rep.WithoutStats, sWithout)
 	}
-	rep.Accuracy, rep.EmpiricalEpsLower = thresholdAttack(rep.WithStats, rep.WithoutStats)
+	rep.Accuracy, rep.EmpiricalEpsLower = thresholdAttack(rep.WithStats, rep.WithoutStats, delta)
 	return rep, nil
 }
 
@@ -141,8 +145,9 @@ func highestDegree(g *graph.Graph) graph.NodeID {
 
 // thresholdAttack finds the threshold maximizing classification accuracy
 // between the two stat samples (trying both orientations) and the
-// threshold maximizing the smoothed ln(TPR/FPR) bound.
-func thresholdAttack(with, without []float64) (accuracy, epsLower float64) {
+// threshold maximizing the smoothed ln((TPR − δ)/FPR) bound: under
+// (ε, δ)-DP, TPR ≤ e^ε·FPR + δ.
+func thresholdAttack(with, without []float64, delta float64) (accuracy, epsLower float64) {
 	type sample struct {
 		v    float64
 		with bool
@@ -169,19 +174,19 @@ func thresholdAttack(with, without []float64) (accuracy, epsLower float64) {
 			bestAcc = acc
 		}
 		// 95% Clopper-Pearson: lower-bound the true TPR, upper-bound the
-		// true FPR, then eps >= ln(TPR_lo/FPR_hi) (Jagielski et al.).
+		// true FPR, then eps >= ln((TPR_lo-δ)/FPR_hi) (Jagielski et al.).
 		tprLo := binomialLowerBound(int(tp), int(nW), confidence)
 		fprHi := binomialUpperBound(int(fp), int(nO), confidence)
-		if tprLo > 0 && fprHi > 0 {
-			if e := math.Log(tprLo / fprHi); e > bestEps {
+		if tprLo > delta && fprHi > 0 {
+			if e := math.Log((tprLo - delta) / fprHi); e > bestEps {
 				bestEps = e
 			}
 		}
-		// The symmetric direction: ln((1-FPR)_lo / (1-TPR)_hi).
+		// The symmetric direction: ln(((1-FPR)_lo-δ) / (1-TPR)_hi).
 		tnrLo := binomialLowerBound(int(tn), int(nO), confidence)
 		fnrHi := binomialUpperBound(int(fn), int(nW), confidence)
-		if tnrLo > 0 && fnrHi > 0 {
-			if e := math.Log(tnrLo / fnrHi); e > bestEps {
+		if tnrLo > delta && fnrHi > 0 {
+			if e := math.Log((tnrLo - delta) / fnrHi); e > bestEps {
 				bestEps = e
 			}
 		}

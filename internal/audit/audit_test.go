@@ -104,7 +104,7 @@ func TestThresholdAttackSeparatedSamples(t *testing.T) {
 		with[i] = 10 + float64(i)
 		without[i] = float64(i)*0.1 - 10
 	}
-	acc, eps := thresholdAttack(with, without)
+	acc, eps := thresholdAttack(with, without, 0)
 	if acc != 1 {
 		t.Fatalf("accuracy = %v, want 1", acc)
 	}
@@ -112,7 +112,7 @@ func TestThresholdAttackSeparatedSamples(t *testing.T) {
 		t.Fatalf("eps bound %v should be positive for 20 separated samples", eps)
 	}
 	// Few samples: bound must stay conservative even when separated.
-	_, epsSmall := thresholdAttack([]float64{10, 11, 12}, []float64{1, 2, 3})
+	_, epsSmall := thresholdAttack([]float64{10, 11, 12}, []float64{1, 2, 3}, 0)
 	if epsSmall < 0 {
 		t.Fatalf("eps bound %v negative", epsSmall)
 	}
@@ -120,7 +120,7 @@ func TestThresholdAttackSeparatedSamples(t *testing.T) {
 		t.Fatalf("3-sample bound %v should be weaker than 20-sample bound %v", epsSmall, eps)
 	}
 	// Identical worlds: accuracy stays at chance.
-	acc2, _ := thresholdAttack([]float64{5, 5, 5}, []float64{5, 5, 5})
+	acc2, _ := thresholdAttack([]float64{5, 5, 5}, []float64{5, 5, 5}, 0)
 	if acc2 != 0.5 {
 		t.Fatalf("identical worlds accuracy = %v, want 0.5", acc2)
 	}
@@ -167,9 +167,33 @@ func TestBinomialCDF(t *testing.T) {
 
 func TestThresholdAttackOrientation(t *testing.T) {
 	// The attack must work regardless of which world has larger stats.
-	accA, _ := thresholdAttack([]float64{1, 2}, []float64{8, 9})
-	accB, _ := thresholdAttack([]float64{8, 9}, []float64{1, 2})
+	accA, _ := thresholdAttack([]float64{1, 2}, []float64{8, 9}, 0)
+	accB, _ := thresholdAttack([]float64{8, 9}, []float64{1, 2}, 0)
 	if accA != 1 || accB != 1 {
 		t.Fatalf("orientation handling broken: %v, %v", accA, accB)
+	}
+}
+
+// TestThresholdAttackSubtractsDelta: under (ε, δ)-DP a threshold's TPR is
+// at most e^ε·FPR + δ, so the bound is ln((TPR_lo − δ)/FPR_hi). δ = 0
+// gives the pure-ε bound, a positive δ lowers it, and a threshold whose
+// TPR_lo is at most δ certifies nothing.
+func TestThresholdAttackSubtractsDelta(t *testing.T) {
+	with := make([]float64, 20)
+	without := make([]float64, 20)
+	for i := range with {
+		with[i] = 10 + float64(i)
+		without[i] = float64(i)*0.1 - 10
+	}
+	// The separating threshold maximizes the bound at any δ.
+	tprLo, fprHi := binomialLowerBound(20, 20, 0.95), binomialUpperBound(0, 20, 0.95)
+	for _, tc := range []struct{ delta, want float64 }{
+		{0, math.Log(tprLo / fprHi)},
+		{0.1, math.Log((tprLo - 0.1) / fprHi)},
+		{tprLo, 0},
+	} {
+		if _, eps := thresholdAttack(with, without, tc.delta); math.Abs(eps-tc.want) > 1e-12 {
+			t.Errorf("δ=%v: eps bound %v, want %v", tc.delta, eps, tc.want)
+		}
 	}
 }

@@ -455,7 +455,7 @@ func TestFailedJobsComposeAtRDPLevel(t *testing.T) {
 		}
 		m.run(m.dequeue())
 		got, _ := m.Get(st.ID)
-		if got.State != JobFailed || !got.Private || got.NumSubgraphs == 0 {
+		if got.State != JobFailed || !got.Private || got.EpsilonSpent <= 0 {
 			t.Fatalf("job %d = %+v, want a failed private job with its training summary", i, got)
 		}
 		sum += got.EpsilonSpent

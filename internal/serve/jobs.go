@@ -105,11 +105,10 @@ type JobStatus struct {
 	// key the ledger charges under (stable across graph renames).
 	Fingerprint string `json:"fingerprint,omitempty"`
 
-	// Training summary: the ε the run released and its extraction size,
-	// set whenever training got as far as fixing σ, whatever the outcome.
+	// Training summary: the ε the run released, set whenever training got
+	// as far as fixing σ, whatever the outcome.
 	EpsilonSpent float64 `json:"epsilon_spent,omitempty"`
 	Private      bool    `json:"private,omitempty"`
-	NumSubgraphs int     `json:"num_subgraphs,omitempty"`
 
 	// Started and Finished stay zero until the job starts and ends;
 	// MarshalJSON leaves them out while they are.
@@ -601,7 +600,6 @@ func (m *jobManager) run(j *job) {
 	if res != nil {
 		j.status.EpsilonSpent = res.EpsilonSpent
 		j.status.Private = res.Private
-		j.status.NumSubgraphs = res.NumSubgraphs
 	}
 	if m.budget != nil && cfg.Private() {
 		// Whatever the outcome, commit the noise the run released (noise

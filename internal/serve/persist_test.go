@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -263,6 +264,29 @@ func TestJobTableReplaysZeroTimeLines(t *testing.T) {
 	}
 	if st, _ := m2.Get("job-0002"); st.State != JobQueued || !st.Started.IsZero() {
 		t.Fatalf("queued job after second replay: %+v", st)
+	}
+}
+
+// TestJobTableReplaysNumSubgraphsLines: tables written while JobStatus
+// still carried num_subgraphs (m, a statistic of the private graph that
+// no noise covered) replay with the rest of the status intact, and the
+// status the daemon serves again leaves m out.
+func TestJobTableReplaysNumSubgraphsLines(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"req":{"graph":"g"},"status":{"id":"job-0001","state":"done","graph":"g","epsilon_spent":2.5,"private":true,"num_subgraphs":447,"created":"2026-01-02T03:04:05Z","finished":"2026-01-02T03:04:07Z"}}` + "\n"
+	m := newPersistManager(dir)
+	if err := os.WriteFile(m.jobTablePath(), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if re, fa := m.recover(func(string) *graph.Graph { return persistTestGraph() }); re != 0 || fa != 0 {
+		t.Fatalf("recover = (%d, %d), want (0, 0)", re, fa)
+	}
+	st, err := m.Get("job-0001")
+	if err != nil || st.State != JobDone || st.EpsilonSpent != 2.5 || !st.Private {
+		t.Fatalf("replayed job = %+v, %v; want done, private, ε 2.5", st, err)
+	}
+	if body, err := json.Marshal(st); err != nil || bytes.Contains(body, []byte("num_subgraphs")) {
+		t.Fatalf("served status %s, %v: want no num_subgraphs", body, err)
 	}
 }
 

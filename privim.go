@@ -86,9 +86,9 @@ func GenerateDataset(p Preset, opts DatasetOptions) (*Dataset, error) {
 	return dataset.Generate(p, opts)
 }
 
-// LoadSNAP parses a real SNAP-format edge list ('#' comments, whitespace
-// "from to" pairs, sparse IDs remapped densely) so downloaded originals of
-// the paper's datasets run through the same pipeline as the surrogates.
+// LoadSNAP parses a real SNAP-format edge list ('#' or '%' comments, "from
+// to" pairs split by spaces or commas, sparse IDs remapped densely) so the
+// paper's downloaded datasets run through the same pipeline as surrogates.
 func LoadSNAP(r io.Reader, directed bool) (*Graph, error) {
 	return dataset.LoadSNAP(r, directed)
 }
