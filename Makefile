@@ -68,7 +68,8 @@ examples:
 # Fuzz the untrusted-input decoders for 60 s each: edge lists (alone,
 # and each dialect against the line scanner it replaced), the graph
 # decoder behind uploads and -graph files, the daemon's train-body
-# admission check and query bodies, and model checkpoint uploads.
+# admission check and query bodies, model checkpoint uploads, and
+# -alert-rules files.
 fuzz:
 	$(GO) test -fuzz='^FuzzReadEdgeList$$' -fuzztime=60s -run '^FuzzReadEdgeList$$' ./internal/graph/
 	$(GO) test -fuzz='^FuzzEdgeListMatchesScanner$$' -fuzztime=60s -run '^FuzzEdgeListMatchesScanner$$' ./internal/graph/
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzTrainBody$$' -fuzztime=60s -run '^FuzzTrainBody$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzQueryBody$$' -fuzztime=60s -run '^FuzzQueryBody$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=60s -run '^FuzzLoad$$' ./internal/gnn/
+	$(GO) test -fuzz='^FuzzParseRules$$' -fuzztime=60s -run '^FuzzParseRules$$' ./internal/obs/history/
 
 # Durability suite under the race detector: atomic checkpoint files,
 # kill-mid-train resume equivalence, corrupt-checkpoint fallback, and

@@ -19,9 +19,12 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -50,7 +53,7 @@ func main() {
 		n           = flag.Int("n", 20, "subgraph size")
 		threshold   = flag.Int("m", 4, "frequency threshold M (PrivIM*)")
 		theta       = flag.Int("theta", 10, "in-degree bound (PrivIM naive)")
-		seed        = flag.Int64("seed", 1, "random seed")
+		seed        = flag.Int64("seed", 1, "random seed of the preset, the spread estimate and -celf; when set, also of private training")
 		compare     = flag.Bool("celf", false, "also run CELF for a coverage ratio")
 		steps       = flag.Int("j", 1, "diffusion steps for evaluation and loss")
 		savePath    = flag.String("save", "", "write the trained model checkpoint to this path")
@@ -120,6 +123,15 @@ func main() {
 	if *gnnKind != "" {
 		cfg.GNNKind = gnn.Kind(*gnnKind)
 	}
+	// A private run without -seed trains under a secret seed.
+	var secret bool
+	cfg.Seed, secret, err = trainSeed(flag.CommandLine, *seed, *loadPath == "" && cfg.Private(), rand.Reader)
+	if err != nil {
+		fatal(err)
+	}
+	if secret && ckptFlags.Dir != "" {
+		fmt.Fprintln(os.Stderr, "privim: training under a secret seed: the checkpoint fingerprint includes the seed, so no later run resumes this one from -checkpoint-dir (set -seed to make it resumable)")
+	}
 
 	// Local privacy-budget guard: with -budget/-budget-file, each private
 	// run against this graph draws down a durable per-graph ledger — the
@@ -178,7 +190,7 @@ func main() {
 			// only the completed iterations; point at the resume checkpoint.
 			fmt.Fprintf(os.Stderr, "privim: canceled after %d/%d iterations (ε spent %.4f of %.4f)\n",
 				cerr.Iter, cerr.Total, res.EpsilonSpent, *eps)
-			if cerr.CheckpointPath != "" {
+			if cerr.CheckpointPath != "" && !secret {
 				fmt.Fprintf(os.Stderr, "privim: final checkpoint %s — rerun with the same flags to resume bit-for-bit\n",
 					cerr.CheckpointPath)
 			}
@@ -222,6 +234,25 @@ func main() {
 		ref, _ := diffusion.Estimate(context.Background(), model, celfSeeds, 10, *seed, diffusion.Options{}) // Background never cancels
 		fmt.Printf("CELF reference spread: %.2f  coverage ratio: %.2f%%\n", ref, im.CoverageRatio(spread, ref))
 	}
+}
+
+// trainSeed returns the seed a training run uses and whether it is
+// secret. When private is set and fs's command line does not set -seed,
+// it draws the seed from random, and the caller prints it nowhere: under
+// a seed anyone can know, a private model is a deterministic function of
+// its graph, which tells neighbouring graphs apart whatever ε says.
+// Otherwise it returns seed, -seed's value, 0 included.
+func trainSeed(fs *flag.FlagSet, seed int64, private bool, random io.Reader) (int64, bool, error) {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "seed" })
+	if set || !private {
+		return seed, false, nil
+	}
+	var b [8]byte
+	if _, err := io.ReadFull(random, b[:]); err != nil {
+		return 0, false, fmt.Errorf("drawing a secret seed: %w", err)
+	}
+	return int64(binary.LittleEndian.Uint64(b[:])), true, nil
 }
 
 // canceled reports an evaluation-phase cancellation and exits with the

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -334,6 +335,33 @@ func TestReadEdgeListErrors(t *testing.T) {
 	} {
 		if _, err := ReadEdgeList(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("ReadEdgeList(%q): expected error", bad)
+		}
+	}
+}
+
+// TestReadEdgeListDirectedValues checks that a header's directed= takes 0
+// or 1 only. Any other value, an empty one included, is an error naming
+// its line, also in a header after the first edge, which no longer
+// shapes the graph.
+func TestReadEdgeListDirectedValues(t *testing.T) {
+	for in, want := range map[string]bool{
+		"# privim-edgelist nodes=2 directed=0\n0 1\n": false,
+		"# privim-edgelist nodes=2 directed=1\n0 1\n": true,
+		"0 1\n# privim-edgelist directed=0\n":         true,
+	} {
+		g, err := ReadEdgeList(strings.NewReader(in))
+		if err != nil || g.Directed() != want {
+			t.Errorf("ReadEdgeList(%q) = %v, %v; want directed %v", in, g, err, want)
+		}
+	}
+	for in, want := range map[string]string{
+		"# privim-edgelist nodes=2 directed=false\n0 1\n": `graph: line 1: bad directed="false" (want 0 or 1)`,
+		"# privim-edgelist nodes=2 directed=2\n0 1\n":     `graph: line 1: bad directed="2" (want 0 or 1)`,
+		"# privim-edgelist nodes=2 directed=\n0 1\n":      `graph: line 1: bad directed="" (want 0 or 1)`,
+		"0 1\n\n# privim-edgelist directed=01\n":          `graph: line 3: bad directed="01" (want 0 or 1)`,
+	} {
+		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil || err.Error() != want {
+			t.Errorf("ReadEdgeList(%q) error = %v, want %s", in, err, want)
 		}
 	}
 }

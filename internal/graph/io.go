@@ -56,7 +56,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 // The native dialect, WriteEdgeList's format, has "u v [w]" lines of node
 // IDs in [0, 2³¹−1) and a weight in [0,1] that defaults to 1. A '#' line
 // is a comment; a "privim-edgelist" one also sets the node count (nodes=,
-// below 2³¹−1 too) and directedness (directed=) if no edge came before it.
+// below 2³¹−1 too) and directedness (directed=0 or 1) if no edge came
+// before it.
 //
 // With snap set it reads the lists the SNAP repository distributes the
 // paper's datasets in: '#' or '%' comments and "from to" pairs separated
@@ -122,8 +123,9 @@ func ParseEdgeList(data []byte, snap, directed bool) (*Builder, error) {
 }
 
 // header applies a privim-edgelist header line's nodes= and directed=
-// tokens. A nodes= value is checked wherever the line appears, but only a
-// header before the first edge shapes the graph.
+// tokens. Both values are checked wherever the line appears (directed=
+// takes 0 or 1 only), but only a header before the first edge shapes the
+// graph.
 func (b *Builder) header(line []byte, lineNo int) error {
 	for tok, rest := field(line, &isSpace); len(tok) > 0; tok, rest = field(rest, &isSpace) {
 		if v, ok := bytes.CutPrefix(tok, []byte("nodes=")); ok {
@@ -135,8 +137,13 @@ func (b *Builder) header(line []byte, lineNo int) error {
 				b.n = int(n)
 			}
 		}
-		if v, ok := bytes.CutPrefix(tok, []byte("directed=")); ok && len(b.edges) == 0 {
-			b.directed = string(v) != "0"
+		if v, ok := bytes.CutPrefix(tok, []byte("directed=")); ok {
+			if len(v) != 1 || v[0] != '0' && v[0] != '1' {
+				return fmt.Errorf("graph: line %d: bad directed=%q (want 0 or 1)", lineNo, v)
+			}
+			if len(b.edges) == 0 {
+				b.directed = v[0] == '1'
+			}
 		}
 	}
 	return nil

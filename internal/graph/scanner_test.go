@@ -12,7 +12,9 @@ import (
 // The line-scanner parsers that the byte-level tokenizer replaced, kept
 // as they were as the oracles of FuzzEdgeListMatchesScanner and
 // FuzzSNAPMatchesScanner. Each allocates a string and a field slice per
-// line, splits at Unicode space and stops at a line over 1 MiB.
+// line, splits at Unicode space and stops at a line over 1 MiB. One
+// change since: scanEdgeList, like ParseEdgeList, takes only 0 or 1 for
+// directed=, where both used to read every other value as directed.
 
 // scanEdgeList is the scanner ParseEdgeList was.
 func scanEdgeList(r io.Reader) (*Builder, error) {
@@ -38,7 +40,10 @@ func scanEdgeList(r io.Reader) (*Builder, error) {
 						nodes = n
 					}
 					if v, ok := strings.CutPrefix(tok, "directed="); ok {
-						directed = v != "0"
+						if v != "0" && v != "1" {
+							return nil, fmt.Errorf("graph: line %d: bad directed=%q (want 0 or 1)", lineNo, v)
+						}
+						directed = v == "1"
 					}
 				}
 			}

@@ -2,6 +2,8 @@ package im
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"privim/internal/graph"
@@ -19,12 +21,14 @@ func TestRRSetGenerationSteadyStateZeroAlloc(t *testing.T) {
 	}
 	g := parallelTestGraph(t)
 	n := g.NumNodes()
+	var v rrView
+	v.build(g, false)
 	arena := &rrArena{}
 	scratch := parallel.NewScratch(func() *rrScratch { return newRRScratch(n) })
 	var locs []rrLoc
 	run := func() {
 		arena.reset()
-		locs, _, _ = generateRRSets(context.Background(), g, arena, 400, 0, 0, 11, 1, scratch, locs, nil, "im.test.rrsets")
+		locs, _, _ = generateRRSets(context.Background(), &v, arena, 400, 0, 0, 11, 1, scratch, locs, nil, "im.test.rrsets")
 	}
 	run() // warm: grows arena, scratch, and locs to capacity
 	run()
@@ -42,13 +46,15 @@ func TestRRSetGenerationWidthSteadyStateAllocs(t *testing.T) {
 	}
 	g := parallelTestGraph(t)
 	n := g.NumNodes()
+	var v rrView
+	v.build(g, false)
 	for _, w := range []int{2, 4, 8} {
 		arena := &rrArena{}
 		scratch := parallel.NewScratch(func() *rrScratch { return newRRScratch(n) })
 		var locs []rrLoc
 		run := func() {
 			arena.reset()
-			locs, _, _ = generateRRSets(context.Background(), g, arena, 400, 0, 0, 11, w, scratch, locs, nil, "im.test.rrsets")
+			locs, _, _ = generateRRSets(context.Background(), &v, arena, 400, 0, 0, 11, w, scratch, locs, nil, "im.test.rrsets")
 		}
 		run() // warm: grows arena, every worker's scratch, and locs
 		run()
@@ -80,5 +86,33 @@ func TestRISSelectSteadyStateAllocs(t *testing.T) {
 	}
 	if len(seeds) != 3 {
 		t.Fatalf("Select returned %d seeds, want 3", len(seeds))
+	}
+}
+
+// TestIMMSelectSteadyStateAllocs pins repeated IMM selections on one
+// graph: after two warm-ups a Select borrows its sampler (view buffers
+// and worker scratches) from the pool, so it allocates only its own RR
+// sets, their coverage segments, the greedy buffers and the seeds. The
+// GC is off, so no collection empties the pool mid-measurement.
+func TestIMMSelectSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc floors do not hold under -race (sync.Pool drops Puts)")
+	}
+	g := parallelTestGraph(t)
+	s := &IMM{G: g, Seed: 3, Workers: 1}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func() { s.Select(4) }
+	run()
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	objs := testing.AllocsPerRun(10, run)
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / 11 // AllocsPerRun's warm-up run counts too
+	t.Logf("IMM.Select steady state: %v objects, %.0f bytes", objs, bytes)
+	// Measured 32 objects and 79.8 KB (Go 1.24); a Select that built its
+	// own sampler, as before the pool, took 55 objects and 99.5 KB.
+	if objs > 36 || bytes > 90_000 {
+		t.Fatalf("IMM.Select allocates %v objects and %.0f bytes after warm-up, want <= 36 and <= 90,000", objs, bytes)
 	}
 }

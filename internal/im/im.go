@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"privim/internal/bitset"
 	"privim/internal/diffusion"
 	"privim/internal/graph"
 	"privim/internal/obs"
@@ -342,10 +341,14 @@ type RIS struct {
 	// Obs, when non-nil, receives one ParallelFor event per Select call.
 	Obs obs.Observer
 
-	// ix persists the RR-set arena, coverage index, per-worker scratches,
-	// and greedy buffers across Select calls (see DESIGN.md §"Scratch
-	// arenas"), so repeated selections on one solver reuse all storage.
+	// ix persists the RR-set arena, coverage index, sampler view,
+	// per-worker scratches, and greedy buffers across Select calls (see
+	// DESIGN.md §"Scratch arenas"), so repeated selections on one solver
+	// reuse all storage.
 	ix *rrIndex
+	// coin sends every node down the per-arc coin path, the reference
+	// sampler the tests hold the count path to.
+	coin bool
 }
 
 // Name identifies the solver for reporting.
@@ -389,7 +392,8 @@ func (r *RIS) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 	}
 	ix := r.ix
 	ix.reset()
-	if err := ix.generate(ctx, r.G, samples, r.MaxDepth, r.Seed, r.Workers, span, "im.ris.rrsets"); err != nil {
+	ix.smp.view.build(r.G, r.coin) // weights may have changed since the last Select
+	if err := ix.generate(ctx, samples, r.MaxDepth, r.Seed, r.Workers, span, "im.ris.rrsets"); err != nil {
 		obs.Emit(o, obs.Canceled{
 			Phase:   "rrgen",
 			Done:    ix.arena.numSets(),
@@ -517,21 +521,6 @@ func resized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// rrScratch is the reusable per-worker state of the RR-set sampler: a
-// dense visited set, frontier buffers, and a worker-private arena that
-// draws append into (compacted into the shared arena after the fan-out),
-// so steady-state generation performs zero heap work.
-type rrScratch struct {
-	seen           *bitset.Set
-	frontier, next []graph.NodeID
-	arena          []graph.NodeID // this worker's draws, pending compaction
-	rng            parallel.StreamRNG
-}
-
-func newRRScratch(n int) *rrScratch {
-	return &rrScratch{seen: bitset.New(n)}
-}
-
 // rrLoc records where a set landed during the parallel fan-out: worker
 // w's private arena, at [start, end). Indexed by global set index, it
 // lets the compaction pass stitch the shared arena together in set-index
@@ -545,8 +534,7 @@ type rrLoc struct {
 // body that is built once and pooled, so steady-state batches do not pay
 // a closure allocation per call (same pattern as diffusion's estState).
 type rrGenState struct {
-	g        *graph.Graph
-	n        int
+	v        *rrView
 	base     int
 	maxDepth int
 	seed     int64
@@ -563,30 +551,29 @@ var rrGenPool = sync.Pool{New: func() any {
 			// Repositioning the per-worker RNG gives set i its own
 			// stream (seed, base+i) without allocating.
 			sc.rng.SetStream(gs.seed, uint64(gs.base+i))
-			target := graph.NodeID(sc.rng.Intn(gs.n))
-			s, e := reverseReachable(gs.g, target, gs.maxDepth, &sc.rng, sc)
+			target := graph.NodeID(sc.rng.Intn(gs.v.n))
+			s, e := reverseReachable(gs.v, target, gs.maxDepth, &sc.rng, sc)
 			gs.locs[i] = rrLoc{worker: int32(w), start: s, end: e}
 		}
 	}
 	return gs
 }}
 
-// generateRRSets appends count sets to arena, set base+j drawn from the
-// stream derived from (seed, base+j) — base offsets the stream index so
-// incremental callers (IMM) keep set identities stable across batches. It
-// fans the draws out on the worker pool with one scratch per worker:
-// each worker appends into its private arena and records locations in
-// locs (disjoint writes), then a sequential compaction pass copies sets
-// into the shared arena in index order, so the result is bit-identical
-// at any worker count. Returns the (possibly regrown) locs buffer and
-// the pool stats; a non-nil parent span gets a child span and a
-// ParallelFor event under the given site name.
+// generateRRSets appends count sets drawn through view v to arena, set
+// base+j drawn from the stream derived from (seed, base+j) — base offsets
+// the stream index so incremental callers (IMM) keep set identities
+// stable across batches. It fans the draws out on the worker pool with
+// one scratch per worker: each worker appends into its private arena and
+// records locations in locs (disjoint writes), then a sequential
+// compaction pass copies sets into the shared arena in index order, so
+// the result is bit-identical at any worker count. Returns the (possibly
+// regrown) locs buffer and the pool stats; a non-nil parent span gets a
+// child span and a ParallelFor event under the given site name.
 //
 // ctx is checked at every draw-chunk boundary; on cancellation the
 // partial draws are discarded (worker arenas cleared, nothing compacted
 // into arena) and the context error is returned.
-func generateRRSets(ctx context.Context, g *graph.Graph, arena *rrArena, count, base, maxDepth int, seed int64, workers int, scratch *parallel.Scratch[*rrScratch], locs []rrLoc, parent *obs.Span, site string) ([]rrLoc, parallel.Stats, error) {
-	n := g.NumNodes()
+func generateRRSets(ctx context.Context, v *rrView, arena *rrArena, count, base, maxDepth int, seed int64, workers int, scratch *parallel.Scratch[*rrScratch], locs []rrLoc, parent *obs.Span, site string) ([]rrLoc, parallel.Stats, error) {
 	workers = parallel.Resolve(workers)
 	if workers > count {
 		workers = count
@@ -600,10 +587,10 @@ func generateRRSets(ctx context.Context, g *graph.Graph, arena *rrArena, count, 
 	}
 	locs = locs[:count]
 	gs := rrGenPool.Get().(*rrGenState)
-	gs.g, gs.n, gs.base, gs.maxDepth, gs.seed = g, n, base, maxDepth, seed
+	gs.v, gs.base, gs.maxDepth, gs.seed = v, base, maxDepth, seed
 	gs.scratch, gs.locs = scratch, locs
 	st, err := forObserved(ctx, parent, site, workers, count, 16, gs.body)
-	gs.g, gs.scratch, gs.locs = nil, nil, nil // don't pin caller data in the pool
+	gs.v, gs.scratch, gs.locs = nil, nil, nil // don't pin caller data in the pool
 	rrGenPool.Put(gs)
 	if err != nil {
 		// Partial draws are unusable (locs has holes); drop them so the
@@ -622,44 +609,6 @@ func generateRRSets(ctx context.Context, g *graph.Graph, arena *rrArena, count, 
 	}
 	scratch.Each(func(_ int, sc *rrScratch) { sc.arena = sc.arena[:0] })
 	return locs, st, nil
-}
-
-// reverseReachable samples one reverse-reachable set from target: a BFS
-// over in-arcs keeping each arc with its influence probability, optionally
-// depth-bounded (maxDepth 0 = unbounded). The set is appended to sc.arena
-// and returned as its [start, end) offsets; sc is left clean (seen empty)
-// for the next draw.
-func reverseReachable(g *graph.Graph, target graph.NodeID, maxDepth int, rng *parallel.StreamRNG, sc *rrScratch) (start, end uint32) {
-	start = uint32(len(sc.arena))
-	sc.seen.Add(int(target))
-	sc.arena = append(sc.arena, target)
-	frontier := append(sc.frontier[:0], target)
-	next := sc.next[:0]
-	for depth := 0; len(frontier) > 0; depth++ {
-		if maxDepth > 0 && depth >= maxDepth {
-			break
-		}
-		next = next[:0]
-		for _, u := range frontier {
-			for _, a := range g.In(u) {
-				if sc.seen.Contains(int(a.To)) {
-					continue
-				}
-				if rng.Float64() < a.Weight {
-					sc.seen.Add(int(a.To))
-					next = append(next, a.To)
-					sc.arena = append(sc.arena, a.To)
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	sc.frontier, sc.next = frontier, next
-	// Reset only the touched bits: O(|set|), not O(n).
-	for _, v := range sc.arena[start:] {
-		sc.seen.Remove(int(v))
-	}
-	return start, uint32(len(sc.arena))
 }
 
 // topKBy returns the k node IDs with the highest score, ties broken by ID

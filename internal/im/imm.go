@@ -6,7 +6,6 @@ import (
 
 	"privim/internal/graph"
 	"privim/internal/obs"
-	"privim/internal/parallel"
 )
 
 // IMM implements Influence Maximization via Martingales (Tang, Shi, Xiao —
@@ -37,20 +36,25 @@ type IMM struct {
 	// Obs, when non-nil, receives one ParallelFor event per generation
 	// batch.
 	Obs obs.Observer
+
+	// coin sends every node down the per-arc coin path, the reference
+	// sampler the tests hold the count path to.
+	coin bool
 }
 
 // Name identifies the solver for reporting.
 func (s *IMM) Name() string { return "imm" }
 
 // rrIndex accumulates reverse-reachable sets in a flat arena with one
-// coverage segment per generation batch, plus the per-worker generation
-// scratches and greedy buffers, all reused across IMM's incremental
-// batches and across RIS's Select calls.
+// coverage segment per generation batch, plus the sampler (view and
+// per-worker scratches) and greedy buffers, all reused across IMM's
+// incremental batches and across RIS's Select calls. IMM borrows its
+// sampler from samplerPool for one Select; RIS keeps its own.
 type rrIndex struct {
 	n       int
+	smp     *rrSampler
 	arena   rrArena
 	cover   coverIndex
-	scratch *parallel.Scratch[*rrScratch]
 	locs    []rrLoc
 	covered []bool
 	count   []int
@@ -58,10 +62,7 @@ type rrIndex struct {
 }
 
 func newRRIndex(n int) *rrIndex {
-	return &rrIndex{
-		n:       n,
-		scratch: parallel.NewScratch(func() *rrScratch { return newRRScratch(n) }),
-	}
+	return &rrIndex{n: n, smp: newRRSampler(n)}
 }
 
 // reset empties the index, keeping every buffer's capacity.
@@ -70,11 +71,12 @@ func (ix *rrIndex) reset() {
 	ix.cover.reset()
 }
 
-// generate appends count sets and indexes them as one coverage segment.
-func (ix *rrIndex) generate(ctx context.Context, g *graph.Graph, count, maxDepth int, seed int64, workers int, parent *obs.Span, site string) error {
+// generate appends count sets drawn through the sampler's view and
+// indexes them as one coverage segment.
+func (ix *rrIndex) generate(ctx context.Context, count, maxDepth int, seed int64, workers int, parent *obs.Span, site string) error {
 	base := ix.arena.numSets()
 	var err error
-	ix.locs, _, err = generateRRSets(ctx, g, &ix.arena, count, base, maxDepth, seed, workers, ix.scratch, ix.locs, parent, site)
+	ix.locs, _, err = generateRRSets(ctx, &ix.smp.view, &ix.arena, count, base, maxDepth, seed, workers, ix.smp.scratch, ix.locs, parent, site)
 	if err != nil {
 		return err
 	}
@@ -238,7 +240,11 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 	epsPrime := math.Sqrt2 * eps
 	lambdaPrime := (2 + 2*epsPrime/3) *
 		(logChooseNK + ell*math.Log(fn) + math.Log(math.Log2(fn))) * fn / (epsPrime * epsPrime)
-	ix := newRRIndex(n)
+	// The sampler's view and worker scratches come from the pool; the
+	// sets, their coverage index and the greedy buffers are this Select's.
+	smp := getSampler(s.G, s.coin)
+	defer putSampler(smp)
+	ix := &rrIndex{n: n, smp: smp}
 	lb := 1.0
 	maxI := int(math.Log2(fn))
 	if maxI < 1 {
@@ -254,7 +260,7 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 			thetaI = maxSamples
 		}
 		if need := thetaI - ix.arena.numSets(); need > 0 {
-			if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span, "im.imm.rrsets"); err != nil {
+			if err := ix.generate(ctx, need, s.MaxDepth, s.Seed, s.Workers, span, "im.imm.rrsets"); err != nil {
 				return nil, cancelSelect(o, clk, "imm", "rrgen", nil, k, err)
 			}
 		}
@@ -280,7 +286,7 @@ func (s *IMM) SelectContext(ctx context.Context, k int) ([]graph.NodeID, error) 
 		theta = maxSamples
 	}
 	if need := theta - ix.arena.numSets(); need > 0 {
-		if err := ix.generate(ctx, s.G, need, s.MaxDepth, s.Seed, s.Workers, span, "im.imm.rrsets"); err != nil {
+		if err := ix.generate(ctx, need, s.MaxDepth, s.Seed, s.Workers, span, "im.imm.rrsets"); err != nil {
 			return nil, cancelSelect(o, clk, "imm", "rrgen", nil, k, err)
 		}
 	}

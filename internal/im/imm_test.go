@@ -182,8 +182,9 @@ func TestCoverSegmentsIndexEachSetOnce(t *testing.T) {
 	g := parallelTestGraph(t)
 	n := g.NumNodes()
 	ix := newRRIndex(n)
+	ix.smp.view.build(g, false)
 	for batch, count := range []int{7, 40, 1, 200} {
-		if err := ix.generate(context.Background(), g, count, 0, 5, 2, nil, ""); err != nil {
+		if err := ix.generate(context.Background(), count, 0, 5, 2, nil, ""); err != nil {
 			t.Fatal(err)
 		}
 		if len(ix.cover.segs) != batch+1 {

@@ -2,6 +2,7 @@ package im
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"privim/internal/diffusion"
@@ -70,13 +71,15 @@ func TestGenerateRRSetsStreamStable(t *testing.T) {
 	newScratch := func() *parallel.Scratch[*rrScratch] {
 		return parallel.NewScratch(func() *rrScratch { return newRRScratch(g.NumNodes()) })
 	}
+	var v rrView
+	v.build(g, false)
 	var whole rrArena
-	generateRRSets(context.Background(), g, &whole, 100, 0, 0, 42, 3, newScratch(), nil, nil, "")
+	generateRRSets(context.Background(), &v, &whole, 100, 0, 0, 42, 3, newScratch(), nil, nil, "")
 	// Two stacked batches at different widths into one arena.
 	var stacked rrArena
 	sc := newScratch()
-	locs, _, _ := generateRRSets(context.Background(), g, &stacked, 60, 0, 0, 42, 2, sc, nil, nil, "")
-	generateRRSets(context.Background(), g, &stacked, 40, 60, 0, 42, 5, sc, locs, nil, "")
+	locs, _, _ := generateRRSets(context.Background(), &v, &stacked, 60, 0, 0, 42, 2, sc, nil, nil, "")
+	generateRRSets(context.Background(), &v, &stacked, 40, 60, 0, 42, 5, sc, locs, nil, "")
 	if whole.numSets() != stacked.numSets() {
 		t.Fatalf("%d vs %d sets", whole.numSets(), stacked.numSets())
 	}
@@ -94,21 +97,27 @@ func TestGenerateRRSetsStreamStable(t *testing.T) {
 }
 
 // TestReverseReachableScratchClean verifies a draw leaves the scratch set
-// empty, so reuse across draws cannot leak visited state.
+// and Floyd's position marks empty, so reuse across draws cannot leak
+// visited state.
 func TestReverseReachableScratchClean(t *testing.T) {
 	g := parallelTestGraph(t)
+	var v rrView
+	v.build(g, false)
 	sc := newRRScratch(g.NumNodes())
 	var rng parallel.StreamRNG
 	for i := 0; i < 50; i++ {
 		rng.SetStream(3, uint64(i))
 		target := graph.NodeID(rng.Intn(g.NumNodes()))
-		start, end := reverseReachable(g, target, 0, &rng, sc)
+		start, end := reverseReachable(&v, target, 0, &rng, sc)
 		set := sc.arena[start:end]
 		if len(set) == 0 || set[0] != target {
 			t.Fatalf("draw %d: set %v does not start at target %d", i, set, target)
 		}
 		if got := sc.seen.Count(); got != 0 {
 			t.Fatalf("draw %d left %d bits set in scratch", i, got)
+		}
+		if got := sc.mark.Count(); got != 0 {
+			t.Fatalf("draw %d left %d position marks set", i, got)
 		}
 	}
 }
@@ -152,5 +161,28 @@ func TestCELFEmitsParallelFor(t *testing.T) {
 	}
 	if len(fors) != 1 || fors[0].Site != "im.celf.initial" || fors[0].Tasks != g.NumNodes() || fors[0].Chunks == 0 {
 		t.Fatalf("unexpected ParallelFor events: %+v", fors)
+	}
+}
+
+// TestIMMConcurrentSelects runs IMM selections from several goroutines
+// at once, so the pooled samplers are borrowed and returned concurrently
+// (run under -race): each must pick what a lone Select picks.
+func TestIMMConcurrentSelects(t *testing.T) {
+	g := parallelTestGraph(t)
+	want := (&IMM{G: g, Seed: 9, Workers: 2}).Select(4)
+	var wg sync.WaitGroup
+	got := make([][]graph.NodeID, 6)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				got[i] = (&IMM{G: g, Seed: 9, Workers: 2}).Select(4)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		sameSeeds(t, "concurrent imm", want, got[i])
 	}
 }
