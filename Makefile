@@ -68,8 +68,10 @@ examples:
 # Fuzz the untrusted-input decoders for 60 s each: edge lists (alone,
 # and each dialect against the line scanner it replaced), the graph
 # decoder behind uploads and -graph files, the daemon's train-body
-# admission check and query bodies, model checkpoint uploads, and
-# -alert-rules files.
+# admission check and query bodies, model checkpoint uploads,
+# -alert-rules files, and training checkpoints. Minimizing a new input
+# grown from the 4 KB training-checkpoint seed takes up to the default
+# 60 s, which stalled that target; 1 s keeps it fuzzing.
 fuzz:
 	$(GO) test -fuzz='^FuzzReadEdgeList$$' -fuzztime=60s -run '^FuzzReadEdgeList$$' ./internal/graph/
 	$(GO) test -fuzz='^FuzzEdgeListMatchesScanner$$' -fuzztime=60s -run '^FuzzEdgeListMatchesScanner$$' ./internal/graph/
@@ -79,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzQueryBody$$' -fuzztime=60s -run '^FuzzQueryBody$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzLoad$$' -fuzztime=60s -run '^FuzzLoad$$' ./internal/gnn/
 	$(GO) test -fuzz='^FuzzParseRules$$' -fuzztime=60s -run '^FuzzParseRules$$' ./internal/obs/history/
+	$(GO) test -fuzz='^FuzzTrainCheckpoint$$' -fuzztime=60s -fuzzminimizetime=1s -run '^FuzzTrainCheckpoint$$' ./internal/privim/
 
 # Durability suite under the race detector: atomic checkpoint files,
 # kill-mid-train resume equivalence, corrupt-checkpoint fallback, and

@@ -232,7 +232,7 @@ func (ParallelFor) EventKind() string { return "parallel_for" }
 // CheckpointSaved reports one durable training checkpoint written by the
 // crash-safe training loop (internal/privim with Config.CheckpointEvery
 // set): the state needed to resume bit-for-bit — parameters, optimizer
-// moments, RNG stream position, privacy-accounting position — landed on
+// moments, completed iterations, privacy-accounting position — landed on
 // disk atomically.
 type CheckpointSaved struct {
 	// Iter is the number of completed iterations the checkpoint captures.
@@ -256,9 +256,6 @@ type CheckpointResumed struct {
 	Iter int `json:"iter"`
 	// Path is the checkpoint file the state was restored from.
 	Path string `json:"path"`
-	// RNGDraws is the restored RNG stream position (raw source draws
-	// consumed since seeding).
-	RNGDraws uint64 `json:"rng_draws"`
 }
 
 // EventKind implements Event.

@@ -162,7 +162,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		ExtractionDone{Stage: "scs", Subgraphs: 12, Walks: 30, MaxOccurrence: 4},
 		ParallelFor{Site: "train.dpsgd", Workers: 4, Tasks: 64, Chunks: 16, Imbalance: 0.25, Elapsed: time.Millisecond},
 		CheckpointSaved{Iter: 10, Path: "ckpt-00000010.ckpt", Bytes: 4096, Elapsed: 3 * time.Millisecond},
-		CheckpointResumed{Iter: 10, Path: "ckpt-00000010.ckpt", RNGDraws: 12345},
+		CheckpointResumed{Iter: 10, Path: "ckpt-00000010.ckpt"},
 		CheckpointRejected{Path: "ckpt-00000012.ckpt", Reason: "truncated"},
 		SpanEnd{ID: 1, Span: "train", Elapsed: time.Second},
 	}
@@ -312,6 +312,21 @@ func TestDecodeRecordAcceptsNoisyLoss(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordAcceptsRNGDraws: checkpoint_resumed records written
+// while checkpoints stored a training-stream position still decode, with
+// the rng_draws field dropped.
+func TestDecodeRecordAcceptsRNGDraws(t *testing.T) {
+	line := []byte(`{"event":"checkpoint_resumed","ts_unix_ns":1000,"data":{"iter":4,"path":"ckpt-00000004.ckpt","rng_draws":12345}}`)
+	ev, _, err := DecodeRecord(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &CheckpointResumed{Iter: 4, Path: "ckpt-00000004.ckpt"}
+	if !reflect.DeepEqual(ev, want) {
+		t.Fatalf("decoded %+v, want %+v", ev, want)
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Emit(SpanStart{ID: 1, Span: "train"})
@@ -407,7 +422,7 @@ func TestRegistryCheckpointEvents(t *testing.T) {
 	r.Emit(CheckpointSaved{Iter: 4, Path: "a", Bytes: 128, Elapsed: time.Millisecond})
 	r.Emit(CheckpointSaved{Iter: 8, Path: "b", Bytes: 128, Elapsed: time.Millisecond})
 	r.Emit(CheckpointRejected{Path: "b", Reason: "truncated"})
-	r.Emit(CheckpointResumed{Iter: 4, Path: "a", RNGDraws: 99})
+	r.Emit(CheckpointResumed{Iter: 4, Path: "a"})
 	if got := r.Counter("train.checkpoint.saved").Value(); got != 2 {
 		t.Fatalf("saved counter = %d, want 2", got)
 	}

@@ -202,47 +202,42 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// source is a rand.Source64 over a SplitMix64 sequence. Unlike
-// rand.NewSource it has O(1) construction (no 607-word lagged-Fibonacci
-// warm-up), which matters when deriving one stream per RR set or
-// Monte-Carlo round.
-type source struct{ state uint64 }
-
-func (s *source) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	x := s.state
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (s *source) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-func (s *source) Seed(seed int64) { s.state = splitmix64(uint64(seed)) }
-
 // StreamRNG draws from the i-th deterministic RNG stream of a seeded
 // family: independent per-index streams let parallel loops consume
 // randomness without any cross-worker ordering, so output is identical at
 // any worker count. Streams with the same (seed, i) are identical;
 // distinct indices decorrelate through a double SplitMix64 avalanche.
-// SetStream repositions it without allocating, so hot loops that burn
-// one stream per work item (RR-set draws, Monte-Carlo rounds) keep one
-// StreamRNG per worker.
-// Its draw methods run on the concrete SplitMix64 source, without
-// rand.Rand's interface call, and return exactly what the rand.Rand
-// methods of the same name return on rand.New over the same source: Go 1
+// SetStream repositions it in O(1) without allocating (rand.NewSource
+// warms up 607 words), so hot loops that burn one stream per work item
+// (RR-set draws, Monte-Carlo rounds) keep one StreamRNG per worker.
+//
+// It is a rand.Source64 over a SplitMix64 sequence. Code written against
+// *rand.Rand draws from rand.New(&r), and since rand.Rand keeps no draw
+// state outside Read, SetStream under it repositions exactly. Its own
+// draw methods skip rand.Rand's interface call and return exactly what
+// the rand.Rand methods of the same name return over it: Go 1
 // compatibility freezes how those methods consume a source. The zero
-// value is positioned at source state 0; call SetStream first. Not safe
-// for concurrent use; keep one per worker.
-type StreamRNG struct{ src source }
+// value is positioned at state 0; call SetStream first. Not safe for
+// concurrent use; keep one per worker.
+type StreamRNG struct{ state uint64 }
 
 // SetStream positions r at the start of stream (seed, i).
 func (r *StreamRNG) SetStream(seed int64, i uint64) {
-	r.src.state = splitmix64(splitmix64(uint64(seed)) + i)
+	r.state = splitmix64(splitmix64(uint64(seed)) + i)
+}
+
+// Seed is rand.Source's Seed: it positions r at stream (seed, 0).
+func (r *StreamRNG) Seed(seed int64) { r.SetStream(seed, 0) }
+
+// Uint64 is rand.Source64's Uint64: the next SplitMix64 output.
+func (r *StreamRNG) Uint64() uint64 {
+	x := r.state
+	r.state += 0x9e3779b97f4a7c15
+	return splitmix64(x)
 }
 
 // Int63 is rand.Rand.Int63: a non-negative 63-bit integer.
-func (r *StreamRNG) Int63() int64 { return r.src.Int63() }
+func (r *StreamRNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 is rand.Rand.Float64: a float in [0, 1), redrawing the rare
 // Int63 that rounds up to 1.

@@ -10,7 +10,9 @@ import (
 // Stream returns stream (seed, i) of StreamRNG's family as a *rand.Rand,
 // the reference StreamRNG's draws must match.
 func Stream(seed int64, i uint64) *rand.Rand {
-	return rand.New(&source{state: splitmix64(splitmix64(uint64(seed)) + i)})
+	var r StreamRNG
+	r.SetStream(seed, i)
+	return rand.New(&r)
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -204,6 +206,42 @@ func TestStreamRNGMatchesStream(t *testing.T) {
 			if got, want := r.Int63(), ref.Int63(); got != want {
 				t.Fatalf("stream %d draw %d: Int63 = %d, want %d", i, j, got, want)
 			}
+		}
+	}
+}
+
+// TestStreamRNGSource pins StreamRNG as a rand.Source64: the zero value
+// yields SplitMix64's reference sequence from state 0, Seed is stream
+// (seed, 0), and SetStream under a rand.Rand repositions it exactly —
+// the trainer re-keys one rand.New(&r) per purpose and iteration.
+func TestStreamRNGSource(t *testing.T) {
+	var r StreamRNG
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := r.Uint64(); got != want {
+			t.Fatalf("draw %d from state 0 = %#x, want %#x", i, got, want)
+		}
+	}
+	r.Seed(9)
+	if got, want := r.Uint64(), Stream(9, 0).Uint64(); got != want {
+		t.Fatalf("Seed(9) draws %#x, want stream (9, 0)'s %#x", got, want)
+	}
+	rng := rand.New(&r)
+	draws := func() []float64 {
+		return []float64{rng.NormFloat64(), float64(rng.Intn(1000)), rng.Float64(),
+			rng.ExpFloat64(), float64(rng.Perm(5)[0]), float64(rng.Uint64() >> 11)}
+	}
+	r.SetStream(3, 5)
+	first := draws()
+	r.SetStream(4, 5)
+	draws()
+	r.SetStream(3, 5)
+	again := draws()
+	ref := Stream(3, 5)
+	fresh := []float64{ref.NormFloat64(), float64(ref.Intn(1000)), ref.Float64(),
+		ref.ExpFloat64(), float64(ref.Perm(5)[0]), float64(ref.Uint64() >> 11)}
+	for i := range first {
+		if first[i] != again[i] || first[i] != fresh[i] {
+			t.Fatalf("draw %d: %v, repositioned %v, fresh %v", i, first[i], again[i], fresh[i])
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,75 +20,32 @@ import (
 
 // Crash-safe training checkpoints. A checkpoint captures everything the
 // DP-SGD loop needs to continue bit-for-bit identically to an
-// uninterrupted run: model parameters, optimizer moments, the RNG stream
-// position (so batch picks and noise draws line up), the loss history,
-// and the privacy-accounting scalars for cross-checking. The file layer
-// (temp file + checksum trailer + atomic rename, nn.WriteFileAtomic) is
-// shared with the rest of the repo's durable state.
+// uninterrupted run: model parameters, optimizer moments, the completed
+// iteration count, the loss history, and the privacy-accounting scalars
+// for cross-checking. The file layer (temp file + checksum trailer +
+// atomic rename, nn.WriteFileAtomic) is shared with the rest of the
+// repo's durable state.
 //
 // Resume does NOT skip Module 1: extraction and model init are
 // deterministic functions of (graph, config, seed), so Train re-runs
-// them, then fast-forwards the RNG from its post-init position to the
-// checkpointed draw count. That keeps checkpoints small (no subgraph
-// container on disk) and makes every restored tensor verifiable against
-// a freshly computed layout.
+// them. Every later draw comes from a stream keyed by (seed, purpose,
+// iteration) (see Train), so the iteration count alone says where the
+// run continues: no RNG position is stored. That keeps checkpoints small
+// (no subgraph container on disk) and makes every restored tensor
+// verifiable against a freshly computed layout.
 //
-// Version 1 carried a second loss history (the batch re-evaluated after
-// the noisy update); decoding still reads and drops it.
+// Versions 1 and 2 recorded a position in the old single training
+// stream, which no longer exists; they are refused, and the run starts
+// again at iteration 0.
 const (
 	trainCkptMagic   = "PVIMTRN1"
-	trainCkptVersion = uint32(2)
+	trainCkptVersion = uint32(3)
 	// checkpointKeep is how many recent checkpoint files a run retains;
 	// older ones are pruned after each save. More than one survives so a
 	// corrupted newest file still leaves a previous good checkpoint to
 	// fall back to.
 	checkpointKeep = 3
 )
-
-// countingSource wraps math/rand's Source64 and counts every draw, so
-// the stream position can be persisted as a single integer and replayed
-// with Skip. Both Int63 and Uint64 advance the underlying generator by
-// exactly one state step, so the count is method-agnostic.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func newCountingSource(seed int64) *countingSource {
-	// math/rand's NewSource has implemented Source64 since Go 1.8; the
-	// assertion keeps rand.Rand on the same Uint64 fast path it uses over
-	// the unwrapped source, so wrapping does not change the stream.
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-// Seed satisfies rand.Source; the training loop never reseeds.
-func (c *countingSource) Seed(seed int64) {
-	c.src = rand.NewSource(seed).(rand.Source64)
-	c.draws = 0
-}
-
-// Draws returns the number of values drawn since seeding.
-func (c *countingSource) Draws() uint64 { return c.draws }
-
-// Skip advances the stream by n draws without handing the values out —
-// the resume fast-forward. It is cheap (one generator step per draw)
-// next to the forward/backward passes those draws originally drove.
-func (c *countingSource) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		c.src.Uint64()
-	}
-	c.draws += n
-}
 
 // configFingerprint hashes every config field that shapes the training
 // stream, plus the training graph's content fingerprint. A checkpoint
@@ -117,7 +73,6 @@ func configFingerprint(cfg Config, g *graph.Graph) uint64 {
 type trainState struct {
 	fingerprint uint64
 	iter        int
-	rngDraws    uint64
 	sigma       float64
 	epsSpent    float64
 	loss        []float64
@@ -125,11 +80,42 @@ type trainState struct {
 	opt         []byte // Adam.StateTo section
 }
 
+// ckptHead opens every checkpoint payload, whatever its version.
+type ckptHead struct {
+	Magic   [len(trainCkptMagic)]byte
+	Version uint32
+}
+
+// ckptFixed follows the head in version 3; then come Losses loss values
+// and the length-prefixed parameter and optimizer sections. Every field
+// of the payload is little-endian.
+type ckptFixed struct {
+	Fingerprint uint64
+	Iter        uint32
+	Sigma, Eps  float64
+	Losses      uint32
+}
+
+// encode returns st's version-3 payload, the inverse of decodeTrainState.
+func (st *trainState) encode() []byte {
+	var buf bytes.Buffer // binary.Write of fixed-size values into a Buffer cannot fail
+	le := binary.LittleEndian
+	head := ckptHead{Version: trainCkptVersion}
+	copy(head.Magic[:], trainCkptMagic)
+	binary.Write(&buf, le, head)
+	binary.Write(&buf, le, ckptFixed{st.fingerprint, uint32(st.iter), st.sigma, st.epsSpent, uint32(len(st.loss))})
+	binary.Write(&buf, le, st.loss)
+	for _, section := range [][]byte{st.params, st.opt} {
+		binary.Write(&buf, le, uint64(len(section)))
+		buf.Write(section)
+	}
+	return buf.Bytes()
+}
+
 // checkpointer owns one run's checkpoint directory: atomic saves, pruned
 // retention, and newest-good-first resume.
 type checkpointer struct {
 	dir   string
-	every int
 	fp    uint64
 	sigma float64 // expected noise multiplier, cross-checked on resume
 	eps   float64 // expected EpsilonSpent at full T
@@ -142,7 +128,6 @@ func newCheckpointer(cfg Config, g *graph.Graph, sigma, eps float64, o obs.Obser
 	}
 	return &checkpointer{
 		dir:   cfg.CheckpointDir,
-		every: cfg.CheckpointEvery,
 		fp:    configFingerprint(cfg, g),
 		sigma: sigma,
 		eps:   eps,
@@ -190,7 +175,7 @@ func HasCheckpoint(dir string) bool {
 
 // save writes the full training state after iter completed iterations
 // and prunes old checkpoints beyond checkpointKeep.
-func (c *checkpointer) save(iter int, draws uint64, params *nn.ParamSet, opt *nn.Adam, res *Result) error {
+func (c *checkpointer) save(iter int, params *nn.ParamSet, opt *nn.Adam, res *Result) error {
 	start := time.Now()
 	path := checkpointPath(c.dir, iter)
 
@@ -201,47 +186,11 @@ func (c *checkpointer) save(iter int, draws uint64, params *nn.ParamSet, opt *nn
 	if err := opt.StateTo(&optBuf); err != nil {
 		return err
 	}
-
+	st := trainState{fingerprint: c.fp, iter: iter, sigma: c.sigma, epsSpent: c.eps,
+		loss: res.LossHistory, params: paramBuf.Bytes(), opt: optBuf.Bytes()}
 	n, err := nn.WriteFileAtomic(path, func(w io.Writer) error {
-		le := binary.LittleEndian
-		if _, err := w.Write([]byte(trainCkptMagic)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, trainCkptVersion); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, c.fp); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, uint32(iter)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, draws); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, math.Float64bits(c.sigma)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, math.Float64bits(c.eps)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, le, uint32(len(res.LossHistory))); err != nil {
-			return err
-		}
-		for _, v := range res.LossHistory {
-			if err := binary.Write(w, le, math.Float64bits(v)); err != nil {
-				return err
-			}
-		}
-		for _, section := range [][]byte{paramBuf.Bytes(), optBuf.Bytes()} {
-			if err := binary.Write(w, le, uint64(len(section))); err != nil {
-				return err
-			}
-			if _, err := w.Write(section); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := w.Write(st.encode())
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("privim: writing checkpoint %s: %w", path, err)
@@ -256,68 +205,32 @@ func (c *checkpointer) save(iter int, draws uint64, params *nn.ParamSet, opt *nn
 	return nil
 }
 
-// decode parses a verified checkpoint payload.
+// decodeTrainState parses a verified checkpoint payload. It refuses any
+// version but trainCkptVersion with an error that names the version.
 func decodeTrainState(payload []byte) (*trainState, error) {
 	r := bytes.NewReader(payload)
 	le := binary.LittleEndian
-	magic := make([]byte, len(trainCkptMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("reading magic: %w", err)
+	var head ckptHead
+	if err := binary.Read(r, le, &head); err != nil {
+		return nil, fmt.Errorf("reading header: %w", err)
 	}
-	if string(magic) != trainCkptMagic {
-		return nil, fmt.Errorf("bad magic %q", magic)
+	if string(head.Magic[:]) != trainCkptMagic {
+		return nil, fmt.Errorf("bad magic %q", head.Magic[:])
 	}
-	var version uint32
-	if err := binary.Read(r, le, &version); err != nil {
+	if head.Version != trainCkptVersion {
+		return nil, fmt.Errorf("checkpoint version %d, want %d", head.Version, trainCkptVersion)
+	}
+	var fixed ckptFixed
+	if err := binary.Read(r, le, &fixed); err != nil {
 		return nil, err
 	}
-	if version != 1 && version != trainCkptVersion {
-		return nil, fmt.Errorf("unsupported version %d", version)
+	if int(fixed.Losses) > r.Len()/8 {
+		return nil, fmt.Errorf("implausible history length %d", fixed.Losses)
 	}
-	st := &trainState{}
-	var fp uint64
-	if err := binary.Read(r, le, &fp); err != nil {
+	st := &trainState{fingerprint: fixed.Fingerprint, iter: int(fixed.Iter), sigma: fixed.Sigma,
+		epsSpent: fixed.Eps, loss: make([]float64, fixed.Losses)}
+	if err := binary.Read(r, le, st.loss); err != nil {
 		return nil, err
-	}
-	var iter uint32
-	if err := binary.Read(r, le, &iter); err != nil {
-		return nil, err
-	}
-	st.iter = int(iter)
-	if err := binary.Read(r, le, &st.rngDraws); err != nil {
-		return nil, err
-	}
-	var sigmaBits, epsBits uint64
-	if err := binary.Read(r, le, &sigmaBits); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, le, &epsBits); err != nil {
-		return nil, err
-	}
-	st.sigma = math.Float64frombits(sigmaBits)
-	st.epsSpent = math.Float64frombits(epsBits)
-	st.fingerprint = fp
-	hists := []*[]float64{&st.loss}
-	if version == 1 {
-		hists = append(hists, new([]float64)) // the dropped post-update history
-	}
-	for _, hist := range hists {
-		var n uint32
-		if err := binary.Read(r, le, &n); err != nil {
-			return nil, err
-		}
-		if int(n) > len(payload)/8 {
-			return nil, fmt.Errorf("implausible history length %d", n)
-		}
-		vs := make([]float64, n)
-		for i := range vs {
-			var bits uint64
-			if err := binary.Read(r, le, &bits); err != nil {
-				return nil, err
-			}
-			vs[i] = math.Float64frombits(bits)
-		}
-		*hist = vs
 	}
 	for _, section := range []*[]byte{&st.params, &st.opt} {
 		var n uint64
@@ -327,11 +240,10 @@ func decodeTrainState(payload []byte) (*trainState, error) {
 		if n > uint64(r.Len()) {
 			return nil, fmt.Errorf("section length %d exceeds remaining %d bytes", n, r.Len())
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
+		*section = make([]byte, n)
+		if _, err := io.ReadFull(r, *section); err != nil {
 			return nil, err
 		}
-		*section = b
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", r.Len())
@@ -339,12 +251,12 @@ func decodeTrainState(payload []byte) (*trainState, error) {
 	return st, nil
 }
 
-// resume scans the checkpoint directory newest-first, restores the first
-// checkpoint that verifies against this run (file integrity, config and
-// graph fingerprint, accounting scalars, RNG position not behind the
-// post-init stream), and fast-forwards the RNG. It returns nil when no
-// usable checkpoint exists — a fresh start, which is always correct.
-func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt *nn.Adam, src *countingSource) *trainState {
+// resume scans the checkpoint directory newest-first and restores the
+// first checkpoint that verifies against this run (file integrity,
+// version, config and graph fingerprint, accounting scalars). It returns
+// nil when no usable checkpoint exists — a fresh start, which is always
+// correct.
+func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt *nn.Adam) *trainState {
 	reject := func(path, reason string) {
 		obs.Emit(c.o, obs.CheckpointRejected{Path: path, Reason: reason})
 	}
@@ -376,9 +288,6 @@ func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt *nn.Adam, src
 		case len(st.loss) != st.iter:
 			reject(path, fmt.Sprintf("history length %d does not match iteration %d", len(st.loss), st.iter))
 			continue
-		case st.rngDraws < src.Draws():
-			reject(path, fmt.Sprintf("RNG position %d behind post-init position %d", st.rngDraws, src.Draws()))
-			continue
 		}
 		if err := params.ReadInto(bytes.NewReader(st.params)); err != nil {
 			reject(path, "params: "+err.Error())
@@ -388,8 +297,7 @@ func (c *checkpointer) resume(cfg Config, params *nn.ParamSet, opt *nn.Adam, src
 			reject(path, "optimizer: "+err.Error())
 			continue
 		}
-		src.Skip(st.rngDraws - src.Draws())
-		obs.Emit(c.o, obs.CheckpointResumed{Iter: st.iter, Path: path, RNGDraws: st.rngDraws})
+		obs.Emit(c.o, obs.CheckpointResumed{Iter: st.iter, Path: path})
 		return st
 	}
 	return nil

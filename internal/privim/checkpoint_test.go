@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,52 +18,6 @@ import (
 	"privim/internal/nn"
 	"privim/internal/obs"
 )
-
-// TestCountingSourceMatchesPlainSource pins the wrapper contract: the
-// stream is identical to an unwrapped rand.NewSource, every draw is
-// counted, and Skip(n) lands on exactly the state n draws would have.
-func TestCountingSourceMatchesPlainSource(t *testing.T) {
-	plain := rand.New(rand.NewSource(42))
-	src := newCountingSource(42)
-	counted := rand.New(src)
-	for i := 0; i < 200; i++ {
-		switch i % 3 {
-		case 0:
-			if a, b := plain.Intn(1000), counted.Intn(1000); a != b {
-				t.Fatalf("draw %d: Intn diverged: %d vs %d", i, a, b)
-			}
-		case 1:
-			if a, b := plain.NormFloat64(), counted.NormFloat64(); a != b {
-				t.Fatalf("draw %d: NormFloat64 diverged: %v vs %v", i, a, b)
-			}
-		default:
-			if a, b := plain.Float64(), counted.Float64(); a != b {
-				t.Fatalf("draw %d: Float64 diverged: %v vs %v", i, a, b)
-			}
-		}
-	}
-	if src.Draws() == 0 {
-		t.Fatal("no draws counted")
-	}
-
-	// Skip(n) ≡ drawing n values and discarding them.
-	a := newCountingSource(7)
-	b := newCountingSource(7)
-	ra := rand.New(a)
-	for i := 0; i < 57; i++ {
-		ra.Int63()
-	}
-	b.Skip(a.Draws())
-	if a.Draws() != b.Draws() {
-		t.Fatalf("draw counts diverged: %d vs %d", a.Draws(), b.Draws())
-	}
-	rb := rand.New(b)
-	for i := 0; i < 20; i++ {
-		if x, y := ra.Int63(), rb.Int63(); x != y {
-			t.Fatalf("post-skip draw %d diverged: %d vs %d", i, x, y)
-		}
-	}
-}
 
 // crashPanic is the sentinel a simulated crash unwinds with.
 type crashPanic struct{ iter int }
@@ -80,7 +35,7 @@ func crashObserver(at int) obs.Observer {
 
 // trainExpectCrash runs Train and requires it to die at the simulated
 // crash point.
-func trainExpectCrash(t *testing.T, g *graph.Graph, cfg Config) {
+func trainExpectCrash(t testing.TB, g *graph.Graph, cfg Config) {
 	t.Helper()
 	defer func() {
 		r := recover()
@@ -219,41 +174,62 @@ func TestTrainResumeBitForBit(t *testing.T) {
 	}
 }
 
-// writeVersion1Checkpoint rewrites st at path in the version-1 layout:
-// the version-2 fields with a second loss history after the first.
-func writeVersion1Checkpoint(t *testing.T, path string, st *trainState, second []float64) {
-	t.Helper()
+// oldCheckpointPayload lays st out in the version-1 or version-2 layout.
+// Both stored a position in the old single training stream, draws, after
+// the iteration; version 1 also carried a second loss history after the
+// first.
+func oldCheckpointPayload(st *trainState, version uint32, draws uint64) []byte {
 	var buf bytes.Buffer // binary.Write into a Buffer cannot fail
 	le := binary.LittleEndian
 	buf.WriteString(trainCkptMagic)
-	for _, v := range []any{uint32(1), st.fingerprint, uint32(st.iter), st.rngDraws,
+	for _, v := range []any{version, st.fingerprint, uint32(st.iter), draws,
 		math.Float64bits(st.sigma), math.Float64bits(st.epsSpent)} {
 		binary.Write(&buf, le, v)
 	}
-	for _, hist := range [][]float64{st.loss, second} {
+	hists := [][]float64{st.loss}
+	if version == 1 {
+		hists = append(hists, st.loss)
+	}
+	for _, hist := range hists {
 		binary.Write(&buf, le, uint32(len(hist)))
-		for _, v := range hist {
-			binary.Write(&buf, le, math.Float64bits(v))
-		}
+		binary.Write(&buf, le, hist)
 	}
 	for _, section := range [][]byte{st.params, st.opt} {
 		binary.Write(&buf, le, uint64(len(section)))
 		buf.Write(section)
 	}
-	_, err := nn.WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return buf.Bytes()
 }
 
-// TestTrainResumesFromVersion1Checkpoint: a checkpoint written in the
-// version-1 layout, whose second history (the post-update loss) the
-// trainer no longer keeps, still resumes part-way through a run into the
-// uninterrupted run's weights, loss history and ε, bit for bit.
-func TestTrainResumesFromVersion1Checkpoint(t *testing.T) {
+// crashedCheckpoint runs cfg into a simulated crash after iteration 3
+// with a checkpoint every 2 iterations and returns the one checkpoint
+// file left behind, at iteration 2, with its decoded state.
+func crashedCheckpoint(tb testing.TB, g *graph.Graph, cfg Config) (string, *trainState) {
+	tb.Helper()
+	cfg.CheckpointEvery = 2
+	cfg.Observer = crashObserver(3)
+	trainExpectCrash(tb, g, cfg)
+	paths := listCheckpoints(cfg.CheckpointDir)
+	if len(paths) != 1 {
+		tb.Fatalf("expected one checkpoint, got %v", paths)
+	}
+	payload, err := nn.ReadFileVerified(paths[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := decodeTrainState(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return paths[0], st
+}
+
+// TestTrainRefusesOldCheckpointVersions: a checkpoint in the version-1 or
+// version-2 layout, which positioned the old single training stream, is
+// refused with a reason that names its version, and the run starts again
+// at iteration 0 and ends in the uninterrupted run's weights, loss
+// history and ε, bit for bit.
+func TestTrainRefusesOldCheckpointVersions(t *testing.T) {
 	ds := quickDataset(t)
 	train := ds.TrainSubgraph().G
 	base := quickConfig(ModeDual)
@@ -261,42 +237,70 @@ func TestTrainResumesFromVersion1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			cfg := base
+			cfg.CheckpointDir = t.TempDir()
+			path, st := crashedCheckpoint(t, train, cfg)
+			old := oldCheckpointPayload(st, version, 1000)
+			if _, err := nn.WriteFileAtomic(path, func(w io.Writer) error {
+				_, err := w.Write(old)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	dir := t.TempDir()
-	crashed := base
-	crashed.CheckpointDir = dir
-	crashed.CheckpointEvery = 2
-	crashed.Observer = crashObserver(3) // last checkpoint is iter 2
-	trainExpectCrash(t, train, crashed)
-	files := checkpointFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("expected one checkpoint, got %v", files)
+			trap := &eventTrap{}
+			cfg.Observer = trap
+			got, err := Train(context.Background(), train, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := trap.count("checkpoint_resumed"); n != 0 {
+				t.Fatalf("resumed %d times from a version-%d checkpoint", n, version)
+			}
+			var reasons []string
+			for _, e := range trap.events {
+				if rej, ok := e.(obs.CheckpointRejected); ok {
+					reasons = append(reasons, rej.Reason)
+				}
+			}
+			if want := fmt.Sprintf("version %d", version); len(reasons) != 1 || !strings.Contains(reasons[0], want) {
+				t.Fatalf("rejections %q, want one naming %q", reasons, want)
+			}
+			if n := trap.count("iteration_end"); n != base.Iterations {
+				t.Fatalf("rerun ran %d iterations, want all %d", n, base.Iterations)
+			}
+			requireSameRun(t, train, baseline, got)
+		})
 	}
-	payload, err := nn.ReadFileVerified(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := decodeTrainState(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := make([]float64, len(st.loss))
-	for i, v := range st.loss {
-		second[i] = v + 1
-	}
-	writeVersion1Checkpoint(t, files[0], st, second)
+}
 
-	trap := &eventTrap{}
-	resumed := crashed
-	resumed.Observer = trap
-	got, err := Train(context.Background(), train, resumed)
-	if err != nil {
-		t.Fatal(err)
+// FuzzTrainCheckpoint: decodeTrainState never panics on arbitrary bytes,
+// and every payload it accepts encodes back to the same bytes. The corpus
+// holds a real version-3 payload and its version-1 and version-2
+// layouts, which must be refused.
+func FuzzTrainCheckpoint(f *testing.F) {
+	cfg := quickConfig(ModeDual)
+	cfg.CheckpointDir = f.TempDir()
+	_, st := crashedCheckpoint(f, quickDataset(f).TrainSubgraph().G, cfg)
+	f.Add(st.encode())
+	for _, version := range []uint32{1, 2} {
+		old := oldCheckpointPayload(st, version, 1000)
+		if _, err := decodeTrainState(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+			f.Fatalf("version-%d payload: err = %v, want a refusal naming the version", version, err)
+		}
+		f.Add(old)
 	}
-	if n := trap.count("checkpoint_resumed"); n != 1 {
-		t.Fatalf("expected a resume from the version-1 checkpoint, got %d resumes", n)
-	}
-	requireSameRun(t, train, baseline, got)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		st, err := decodeTrainState(payload)
+		if err != nil {
+			return
+		}
+		if got := st.encode(); !bytes.Equal(got, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", got, payload)
+		}
+	})
 }
 
 // TestTrainResumeFallsBackPastCorruptCheckpoints: when the newest

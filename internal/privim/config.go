@@ -102,9 +102,9 @@ type Config struct {
 
 	// CheckpointDir, when non-empty, makes Train crash-safe: every
 	// CheckpointEvery iterations the full training state — parameters,
-	// optimizer moments, RNG stream position, loss history, and the
-	// accounting scalars — is written atomically (temp file + checksum +
-	// rename) into the directory, and on start Train resumes from the
+	// optimizer moments, the completed iteration count, loss history, and
+	// the accounting scalars — is written atomically (temp file + checksum
+	// + rename) into the directory, and on start Train resumes from the
 	// newest valid checkpoint found there. A resumed run is bit-for-bit
 	// identical to an uninterrupted one (same final model, seed set, and
 	// EpsilonSpent) at any worker count. Checkpoints are keyed to a
@@ -123,12 +123,15 @@ type Config struct {
 	// all instrumentation at zero per-iteration cost.
 	Observer obs.Observer
 
+	// Seed keys every random draw of the run: Train draws Module 1's
+	// extraction, parameter init, and each iteration's batch picks and
+	// noise from separate streams keyed by (Seed, purpose, iteration).
 	Seed int64
-	// InitSeed, when nonzero, seeds parameter initialization separately
-	// from the sampling/noise randomness. Privacy audits pin it so the
-	// distinguishing attack is not washed out by init variance (the DP
-	// guarantee quantifies only over the mechanism's internal randomness;
-	// initialization is public).
+	// InitSeed, when nonzero, keys the parameter-init stream in place of
+	// Seed, so init stays fixed while the sampling/noise randomness
+	// varies. Privacy audits pin it so the distinguishing attack is not
+	// washed out by init variance (the DP guarantee quantifies only over
+	// the mechanism's internal randomness; initialization is public).
 	InitSeed int64
 }
 

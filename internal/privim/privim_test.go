@@ -14,7 +14,7 @@ import (
 )
 
 // quickDataset returns a small deterministic training graph.
-func quickDataset(t *testing.T) *dataset.Dataset {
+func quickDataset(t testing.TB) *dataset.Dataset {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Email, dataset.Options{Scale: 0.2, Seed: 1, InfluenceProb: 1})
 	if err != nil {
@@ -313,31 +313,40 @@ func TestMaxCoverObjective(t *testing.T) {
 	}
 }
 
+// TestLossHistoryConverges: non-private training reduces the loss,
+// measured as the drop from the mean of the first 5 to the mean of the
+// last 5 of 40 iterations. One seed cannot show it: the drop has a
+// standard deviation of about 0.05 across seeds against a mean of about
+// 0.07, so some 6 % of seeds show none. The mean over seeds 1–10 can:
+// 10-seed windows read 0.045–0.086, and −0.007 to +0.016 when a
+// LearnRate of 1e-12 stops the model from learning.
 func TestLossHistoryConverges(t *testing.T) {
 	ds := quickDataset(t)
-	cfg := quickConfig(ModeNonPrivate)
-	cfg.Iterations = 40
-	res, err := Train(context.Background(), ds.TrainSubgraph().G, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.LossHistory) != 40 {
-		t.Fatalf("loss history length %d, want 40", len(res.LossHistory))
-	}
-	// Non-private training must reduce the loss substantially: compare the
-	// mean of the first and last 5 iterations.
-	head, tail := 0.0, 0.0
-	for i := 0; i < 5; i++ {
-		head += res.LossHistory[i]
-		tail += res.LossHistory[len(res.LossHistory)-1-i]
-	}
-	if tail >= head {
-		t.Fatalf("loss did not decrease: head %v, tail %v", head/5, tail/5)
-	}
-	for i, l := range res.LossHistory {
-		if math.IsNaN(l) || math.IsInf(l, 0) {
-			t.Fatalf("loss[%d] = %v", i, l)
+	const seeds, iters, window = 10, 40, 5
+	drop := 0.0
+	for seed := int64(1); seed <= seeds; seed++ {
+		cfg := quickConfig(ModeNonPrivate)
+		cfg.Iterations = iters
+		cfg.Seed = seed
+		res, err := Train(context.Background(), ds.TrainSubgraph().G, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(res.LossHistory) != iters {
+			t.Fatalf("seed %d: loss history length %d, want %d", seed, len(res.LossHistory), iters)
+		}
+		for i, l := range res.LossHistory {
+			if math.IsNaN(l) || math.IsInf(l, 0) {
+				t.Fatalf("seed %d: loss[%d] = %v", seed, i, l)
+			}
+		}
+		for i := 0; i < window; i++ {
+			drop += res.LossHistory[i] - res.LossHistory[iters-1-i]
+		}
+	}
+	drop /= seeds * window
+	if drop <= 0.025 {
+		t.Fatalf("mean loss drop over seeds 1–%d is %.4f, want > 0.025", seeds, drop)
 	}
 }
 

@@ -100,17 +100,19 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The training RNG runs over a draw-counting source so the stream
-	// position can be checkpointed and replayed exactly (see checkpoint.go);
-	// the stream itself is identical to rand.NewSource(cfg.Seed).
-	src := newCountingSource(cfg.Seed)
-	rng := rand.New(src)
+	// Every draw comes from one rand.Rand over a StreamRNG that is re-keyed
+	// at (seed, purpose, iteration) before each use, so the draws of any
+	// iteration depend on nothing before it and resume needs no stream
+	// position.
+	var stream parallel.StreamRNG
+	rng := rand.New(&stream)
 	o := cfg.Observer
 	root := obs.StartSpanCtx(ctx, o, "train")
 
 	// Module 1: subgraph extraction.
 	m1 := root.Child("module1.extract")
 	preStart := time.Now()
+	stream.SetStream(cfg.Seed, streamExtract)
 	container, bound, err := extractContainer(g, cfg, rng)
 	preprocess := time.Since(preStart)
 	m1.End()
@@ -181,11 +183,12 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		root.End()
 		return res, err
 	}
+	initSeed := cfg.Seed
 	if cfg.InitSeed != 0 {
-		model.Init(rand.New(rand.NewSource(cfg.InitSeed)))
-	} else {
-		model.Init(rng)
+		initSeed = cfg.InitSeed
 	}
+	stream.SetStream(initSeed, streamInit)
+	model.Init(rng)
 	res.Model = model
 
 	opt := nn.NewAdam(model.Params, cfg.LearnRate)
@@ -228,8 +231,8 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 
 	// Crash safety: with a checkpoint directory configured, restore the
 	// newest valid checkpoint (parameters, optimizer moments, loss history)
-	// and fast-forward the RNG to its recorded position, then continue the
-	// loop from there — bit-for-bit identical to never having stopped.
+	// and continue the loop from its iteration — bit-for-bit identical to
+	// never having stopped, since iteration t's draws are keyed by t.
 	startIter := 0
 	var ck *checkpointer
 	if cfg.CheckpointDir != "" {
@@ -240,7 +243,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 			return res, err
 		}
 		rs := m3.Child("checkpoint.resume")
-		st := ck.resume(cfg, model.Params, opt, src)
+		st := ck.resume(cfg, model.Params, opt)
 		rs.End()
 		if st != nil {
 			startIter = st.iter
@@ -297,21 +300,19 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	// stop is the loop's one early exit, after iter completed iterations:
 	// it settles the Result to what those iterations released and closes
 	// the spans. When err is ctx's error the run was canceled: stop
-	// writes a final checkpoint at draws, the RNG position at the stop
-	// point's iteration boundary (when the gradient pass is interrupted the
-	// batch picks were already drawn, so the caller passes the position
-	// captured before them), and returns a CanceledError. Any other err,
-	// a failed checkpoint write, is returned as it is, with no second
-	// write. The cancel clock is nil, and free, for uncancelable contexts.
+	// writes a final checkpoint at iter and returns a CanceledError. Any
+	// other err, a failed checkpoint write, is returned as it is, with no
+	// second write. The cancel clock is nil, and free, for uncancelable
+	// contexts.
 	clk := obs.WatchCancel(ctx)
 	defer clk.Stop()
-	stop := func(iter int, draws uint64, err error) (*Result, error) {
+	stop := func(iter int, err error) (*Result, error) {
 		res.EpsilonSpent = epsilonAt(iter)
 		if errors.Is(err, ctx.Err()) {
 			cerr := &CanceledError{Iter: iter, Total: cfg.Iterations, Err: err}
 			if ck != nil && iter > 0 {
 				cs := m3.Child("checkpoint.save")
-				if err := ck.save(iter, draws, model.Params, opt, res); err == nil {
+				if err := ck.save(iter, model.Params, opt, res); err == nil {
 					cerr.CheckpointPath = checkpointPath(ck.dir, iter)
 				}
 				cs.End()
@@ -336,19 +337,17 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	var poolStats parallel.Stats
 	for t := startIter; t < cfg.Iterations; t++ {
 		if err := ctx.Err(); err != nil {
-			return stop(t, src.Draws(), err)
+			return stop(t, err)
 		}
-		// The RNG position at this iteration boundary, for the final
-		// checkpoint if the gradient pass below is interrupted.
-		drawsBefore := src.Draws()
-		// Draw the whole batch first so rng consumption is independent of
-		// scheduling, then fan the per-sample passes out to the pool.
+		// Draw the whole batch first, then fan the per-sample passes out
+		// to the pool.
+		stream.SetStream(cfg.Seed, streamBatch|uint64(t))
 		for b := range picks {
 			picks[b] = rng.Intn(container.Len())
 		}
 		st, err := parallel.For(ctx, workers, batch, 1, gradPass)
 		if err != nil {
-			return stop(t, drawsBefore, err)
+			return stop(t, err)
 		}
 		poolStats.Workers = st.Workers
 		poolStats.Chunks += st.Chunks
@@ -366,6 +365,7 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		meanLoss /= float64(batch)
 		res.LossHistory = append(res.LossHistory, meanLoss)
 		if cfg.Private() {
+			stream.SetStream(cfg.Seed, streamNoise|uint64(t))
 			switch cfg.Mode {
 			case ModeHP, ModeHPGRAT:
 				// HP pairs HeterPoisson sampling with symmetric multivariate
@@ -408,10 +408,10 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 		// the same order a resumed run reproduces them.
 		if ck != nil && (t+1)%cfg.CheckpointEvery == 0 && t+1 < cfg.Iterations {
 			cs := m3.Child("checkpoint.save")
-			err := ck.save(t+1, src.Draws(), model.Params, opt, res)
+			err := ck.save(t+1, model.Params, opt, res)
 			cs.End()
 			if err != nil {
-				return stop(t+1, 0, err)
+				return stop(t+1, err)
 			}
 		}
 	}
@@ -435,6 +435,16 @@ func Train(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	root.End()
 	return res, nil
 }
+
+// Train's four purposes for randomness. Each is the top two bits of a
+// StreamRNG stream index under the run's seed; the batch and noise
+// streams carry the iteration below them.
+const (
+	streamExtract = uint64(iota) << 62 // Module 1
+	streamInit                         // parameter init, under InitSeed when set
+	streamBatch                        // iteration t's batch picks
+	streamNoise                        // iteration t's Gaussian or SML noise
+)
 
 // trainScratch is one worker slot's reusable state for the DP-SGD passes:
 // a tape whose Reset recycles every node and matrix between samples, and

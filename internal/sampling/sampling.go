@@ -102,6 +102,16 @@ func weakNeighbors(g *graph.Graph) [][]graph.NodeID {
 	return out
 }
 
+// maxDegree is the longest list in nbrs: the size of the walkers'
+// per-step scratch buffers.
+func maxDegree(nbrs [][]graph.NodeID) int {
+	d := 0
+	for _, l := range nbrs {
+		d = max(d, len(l))
+	}
+	return d
+}
+
 // weakRHop returns the weak r-hop neighborhood membership of v0.
 func weakRHop(nbrs [][]graph.NodeID, v0 graph.NodeID, r int) map[graph.NodeID]bool {
 	seen := map[graph.NodeID]bool{v0: true}
@@ -226,6 +236,7 @@ func ExtractRWR(g *graph.Graph, cfg RWRConfig, rng *rand.Rand) (*Container, *gra
 	// but the walk roams the weak neighborhood, whose out-arcs are
 	// unbounded: a subgraph that would put a node past N_g is dropped.
 	ng := graph.MaxOccurrence(cfg.Theta, cfg.Hops)
+	eligible := make([]graph.NodeID, maxDegree(nbrs))
 
 	for v := 0; v < proj.NumNodes(); v++ {
 		if rng.Float64() >= cfg.SamplingRate {
@@ -241,7 +252,7 @@ func ExtractRWR(g *graph.Graph, cfg RWRConfig, rng *rand.Rand) (*Container, *gra
 			if rng.Float64() < cfg.Tau {
 				cur = v0
 			}
-			next, ok := sampleUniform(nbrs[cur], hood, rng)
+			next, ok := sampleUniform(nbrs[cur], hood, eligible, rng)
 			if !ok {
 				// Dead end within the neighborhood: restart.
 				cur = v0
@@ -262,11 +273,12 @@ func ExtractRWR(g *graph.Graph, cfg RWRConfig, rng *rand.Rand) (*Container, *gra
 	return container, proj, nil
 }
 
-// sampleUniform picks a uniform member of cands that passes the allow set.
-func sampleUniform(cands []graph.NodeID, allow map[graph.NodeID]bool, rng *rand.Rand) (graph.NodeID, bool) {
-	eligible := make([]graph.NodeID, 0, len(cands))
+// sampleUniform picks a uniform member of cands inside hood. eligible is
+// a caller-owned scratch buffer with cap ≥ len(cands), overwritten here.
+func sampleUniform(cands []graph.NodeID, hood map[graph.NodeID]bool, eligible []graph.NodeID, rng *rand.Rand) (graph.NodeID, bool) {
+	eligible = eligible[:0]
 	for _, c := range cands {
-		if allow == nil || allow[c] {
+		if hood[c] {
 			eligible = append(eligible, c)
 		}
 	}
@@ -337,7 +349,7 @@ func ExtractDualStage(g *graph.Graph, cfg FreqConfig, rng *rand.Rand) (*Containe
 	// Stage 1: SCS over the full graph.
 	nbrs := weakNeighbors(g)
 	scsStats := newExtractionStats(cfg.Obs, "scs")
-	freqSampling(g, nbrs, freq, cfg, cfg.SubgraphSize, nil, container, rng, scsStats)
+	freqSampling(g, nbrs, freq, cfg, cfg.SubgraphSize, container, rng, scsStats)
 	scsStats.emit(cfg.Obs, container.Len(), container.Occurrences)
 
 	if cfg.BESDivisor == 0 {
@@ -365,7 +377,7 @@ func ExtractDualStage(g *graph.Graph, cfg FreqConfig, rng *rand.Rand) (*Containe
 	nbrsRe := weakNeighbors(gre)
 	stage2 := NewContainer(gre.NumNodes())
 	besStats := newExtractionStats(cfg.Obs, "bes")
-	freqSampling(gre, nbrsRe, freqRe, cfg, besSize, nil, stage2, rng, besStats)
+	freqSampling(gre, nbrsRe, freqRe, cfg, besSize, stage2, rng, besStats)
 	// Translate stage-2 subgraphs back to original node IDs.
 	for _, s := range stage2.Subgraphs {
 		orig := make([]graph.NodeID, len(s.Orig))
@@ -383,7 +395,7 @@ func ExtractDualStage(g *graph.Graph, cfg FreqConfig, rng *rand.Rand) (*Containe
 // freqSampling is the FreqSampling function of Algorithm 3: frequency-aware
 // RWR extraction updating freq in place. size is the target subgraph size;
 // stats (nil-safe) records walk telemetry.
-func freqSampling(g *graph.Graph, nbrs [][]graph.NodeID, freq []int, cfg FreqConfig, size int, allow map[graph.NodeID]bool, container *Container, rng *rand.Rand, stats *extractionStats) {
+func freqSampling(g *graph.Graph, nbrs [][]graph.NodeID, freq []int, cfg FreqConfig, size int, container *Container, rng *rand.Rand, stats *extractionStats) {
 	// Walk state reused across starts: seen is an epoch-stamped membership
 	// set (seen[u] == v+1 ⇔ u collected during the walk started at v),
 	// order is the collection buffer (Induce copies it into the subgraph,
@@ -391,13 +403,7 @@ func freqSampling(g *graph.Graph, nbrs [][]graph.NodeID, freq []int, cfg FreqCon
 	// buffer sized for the maximum weak degree.
 	seen := make([]int32, g.NumNodes())
 	order := make([]graph.NodeID, 0, size)
-	maxDeg := 0
-	for _, l := range nbrs {
-		if len(l) > maxDeg {
-			maxDeg = len(l)
-		}
-	}
-	weights := make([]float64, maxDeg)
+	weights := make([]float64, maxDegree(nbrs))
 	for v := 0; v < g.NumNodes(); v++ {
 		if rng.Float64() >= cfg.SamplingRate || freq[v] >= cfg.Threshold {
 			continue
@@ -412,7 +418,7 @@ func freqSampling(g *graph.Graph, nbrs [][]graph.NodeID, freq []int, cfg FreqCon
 			if rng.Float64() < cfg.Tau {
 				cur = v0
 			}
-			next, ok := sampleByFrequency(nbrs[cur], freq, cfg, allow, weights, rng)
+			next, ok := sampleByFrequency(nbrs[cur], freq, cfg, weights, rng)
 			if !ok {
 				cur = v0
 				continue
@@ -438,16 +444,13 @@ func freqSampling(g *graph.Graph, nbrs [][]graph.NodeID, freq []int, cfg FreqCon
 // proportional to e_v = 1/(f_v+1)^µ, with e_v = 0 once f_v ≥ M. weights is
 // a caller-owned scratch buffer with cap ≥ len(cands); its leading entries
 // are zeroed here, so reuse across calls is safe.
-func sampleByFrequency(cands []graph.NodeID, freq []int, cfg FreqConfig, allow map[graph.NodeID]bool, weights []float64, rng *rand.Rand) (graph.NodeID, bool) {
+func sampleByFrequency(cands []graph.NodeID, freq []int, cfg FreqConfig, weights []float64, rng *rand.Rand) (graph.NodeID, bool) {
 	total := 0.0
 	weights = weights[:len(cands)]
 	for i := range weights {
 		weights[i] = 0
 	}
 	for i, c := range cands {
-		if allow != nil && !allow[c] {
-			continue
-		}
 		if freq[c] >= cfg.Threshold {
 			continue
 		}

@@ -269,7 +269,7 @@ func TestSampleByFrequencyPrefersRare(t *testing.T) {
 	count0 := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		v, ok := sampleByFrequency(cands, freq, cfg, nil, make([]float64, len(cands)), rng)
+		v, ok := sampleByFrequency(cands, freq, cfg, make([]float64, len(cands)), rng)
 		if !ok {
 			t.Fatal("sampling failed")
 		}
@@ -288,11 +288,11 @@ func TestSampleByFrequencyThresholdExcludes(t *testing.T) {
 	freq := []int{5, 5}
 	cfg := FreqConfig{Mu: 1, Threshold: 5}
 	rng := rand.New(rand.NewSource(13))
-	if _, ok := sampleByFrequency(cands, freq, cfg, nil, make([]float64, len(cands)), rng); ok {
+	if _, ok := sampleByFrequency(cands, freq, cfg, make([]float64, len(cands)), rng); ok {
 		t.Fatal("all candidates at threshold must be ineligible")
 	}
 	freq[1] = 4
-	v, ok := sampleByFrequency(cands, freq, cfg, nil, make([]float64, len(cands)), rng)
+	v, ok := sampleByFrequency(cands, freq, cfg, make([]float64, len(cands)), rng)
 	if !ok || v != 1 {
 		t.Fatalf("only eligible candidate should be picked, got %v %v", v, ok)
 	}

@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"privim/internal/dp"
 	"privim/internal/graph"
 	"privim/internal/ledger"
+	"privim/internal/nn"
 	"privim/internal/obs"
 	core "privim/internal/privim"
 )
@@ -283,7 +287,10 @@ func TestCanceledJobRefundsReservation(t *testing.T) {
 // TestBudgetSurvivesDaemonCrash: acceptance — a daemon killed mid-job
 // restarts, replays ledger.jsonl and jobs.jsonl, resumes the job from
 // its checkpoint, and lands on the same committed balance bit for bit as
-// an uninterrupted run.
+// an uninterrupted run. A checkpoint left in the version-2 layout, which
+// Train refuses, still passes recovery's integrity screen: the job
+// reruns from iteration 0 under its recorded seed and commits the same
+// balance once.
 func TestBudgetSurvivesDaemonCrash(t *testing.T) {
 	g := persistTestGraph()
 	req := privateReq()
@@ -301,72 +308,129 @@ func TestBudgetSurvivesDaemonCrash(t *testing.T) {
 	}
 	baseline := lb.Balance("t", bst.Fingerprint)
 
-	// Crash run: the daemon dies after iteration 3, past a checkpoint.
-	dir := t.TempDir()
-	m1, l1 := newBudgetManager(t, dir, 10)
-	st, err := m1.Submit(req, g, "t", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := m1.dequeue()
-	markRunning(m1, j)
-	// Mirrors jobManager.run's request mapping, including the ledger-δ
-	// default for budget-charged jobs.
-	crashCfg := core.Config{
-		Epsilon: req.Epsilon, Delta: m1.budget.Delta(), Iterations: req.Iterations, SubgraphSize: req.SubgraphSize,
-		HiddenDim: req.HiddenDim, Layers: req.Layers, BatchSize: req.BatchSize, Seed: req.seed(),
-		Workers: 1, CheckpointDir: m1.checkpointDir(st.ID), CheckpointEvery: m1.checkpointEvery,
-		Observer: obs.ObserverFunc(func(e obs.Event) {
-			if ie, ok := e.(obs.IterationEnd); ok && ie.Iter == 3 {
-				panic("simulated daemon crash")
+	for _, tc := range []struct {
+		name string
+		// rewrite, when set, changes the crash's checkpoints on disk
+		// before the restart.
+		rewrite func(t *testing.T, dir string)
+		// resumed and iters are the restart's checkpoint_resumed and
+		// iteration_end counts in its per-job journal.
+		resumed, iters int
+	}{
+		{"resume", nil, 1, req.Iterations - 2},
+		{"version-2 checkpoint", rewriteAsVersion2, 0, req.Iterations},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Crash run: the daemon dies after iteration 3, past a checkpoint.
+			dir := t.TempDir()
+			m1, l1 := newBudgetManager(t, dir, 10)
+			st, err := m1.Submit(req, g, "t", "")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("training survived the injected crash")
+			j := m1.dequeue()
+			markRunning(m1, j)
+			// Mirrors jobManager.run's request mapping, including the ledger-δ
+			// default for budget-charged jobs.
+			crashCfg := core.Config{
+				Epsilon: req.Epsilon, Delta: m1.budget.Delta(), Iterations: req.Iterations, SubgraphSize: req.SubgraphSize,
+				HiddenDim: req.HiddenDim, Layers: req.Layers, BatchSize: req.BatchSize, Seed: req.seed(),
+				Workers: 1, CheckpointDir: m1.checkpointDir(st.ID), CheckpointEvery: m1.checkpointEvery,
+				Observer: obs.ObserverFunc(func(e obs.Event) {
+					if ie, ok := e.(obs.IterationEnd); ok && ie.Iter == 3 {
+						panic("simulated daemon crash")
+					}
+				}),
 			}
-		}()
-		core.Train(context.Background(), g, crashCfg)
-	}()
-	preCrash := l1.Balance("t", st.Fingerprint)
-	if preCrash.Reserved != 4 || preCrash.Committed != 0 {
-		t.Fatalf("balance at crash time: %+v", preCrash)
-	}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("training survived the injected crash")
+					}
+				}()
+				core.Train(context.Background(), g, crashCfg)
+			}()
+			preCrash := l1.Balance("t", st.Fingerprint)
+			if preCrash.Reserved != 4 || preCrash.Committed != 0 {
+				t.Fatalf("balance at crash time: %+v", preCrash)
+			}
+			if tc.rewrite != nil {
+				tc.rewrite(t, m1.checkpointDir(st.ID))
+			}
 
-	// Restart: ledger replays first (the reservation survives), then job
-	// recovery requeues the checkpointed job — it must not re-reserve.
-	m2, l2 := newBudgetManager(t, dir, 10)
-	if b := l2.Balance("t", st.Fingerprint); math.Float64bits(b.Reserved) != math.Float64bits(preCrash.Reserved) {
-		t.Fatalf("replayed reservation %v != pre-crash %v", b.Reserved, preCrash.Reserved)
+			// Restart: ledger replays first (the reservation survives), then job
+			// recovery requeues the checkpointed job — it must not re-reserve.
+			m2, l2 := newBudgetManager(t, dir, 10)
+			if b := l2.Balance("t", st.Fingerprint); math.Float64bits(b.Reserved) != math.Float64bits(preCrash.Reserved) {
+				t.Fatalf("replayed reservation %v != pre-crash %v", b.Reserved, preCrash.Reserved)
+			}
+			requeued, failed := m2.recover(func(string) *graph.Graph { return g })
+			if requeued != 1 || failed != 0 {
+				t.Fatalf("recover = (%d, %d), want (1, 0)", requeued, failed)
+			}
+			if b := l2.Balance("t", st.Fingerprint); b.Reserved != 4 {
+				t.Fatalf("recovery disturbed the reservation: %+v", b)
+			}
+			m2.run(m2.dequeue())
+			got, _ := m2.Get(st.ID)
+			if got.State != JobDone {
+				t.Fatalf("resumed job: %+v", got)
+			}
+			journal, err := os.ReadFile(filepath.Join(dir, st.ID+".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(journal, []byte(`"event":"checkpoint_resumed"`)); n != tc.resumed {
+				t.Fatalf("restart resumed %d times, want %d", n, tc.resumed)
+			}
+			if n := bytes.Count(journal, []byte(`"event":"iteration_end"`)); n != tc.iters {
+				t.Fatalf("restart ran %d iterations, want %d", n, tc.iters)
+			}
+			after := l2.Balance("t", st.Fingerprint)
+			if math.Float64bits(after.Committed) != math.Float64bits(baseline.Committed) {
+				t.Fatalf("crash-resumed committed %v != uninterrupted %v", after.Committed, baseline.Committed)
+			}
+			if after.Reserved != 0 {
+				t.Fatalf("reservation outlived the commit: %+v", after)
+			}
+			// Third incarnation: the committed balance replays bit for bit.
+			l3, err := ledger.Open(ledger.Options{Budget: 10, Path: filepath.Join(dir, "ledger.jsonl")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := l3.Balance("t", st.Fingerprint); math.Float64bits(b.Committed) != math.Float64bits(after.Committed) {
+				t.Fatalf("replayed committed %v != live %v", b.Committed, after.Committed)
+			}
+		})
 	}
-	requeued, failed := m2.recover(func(string) *graph.Graph { return g })
-	if requeued != 1 || failed != 0 {
-		t.Fatalf("recover = (%d, %d), want (1, 0)", requeued, failed)
+}
+
+// rewriteAsVersion2 rewrites every checkpoint in dir in the version-2
+// layout: version field 2 and an 8-byte training-stream draw count after
+// the iteration, as checkpoints were written before the trainer keyed
+// its streams by purpose and iteration.
+func rewriteAsVersion2(t *testing.T, dir string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no checkpoint to rewrite in %s (%v)", dir, err)
 	}
-	if b := l2.Balance("t", st.Fingerprint); b.Reserved != 4 {
-		t.Fatalf("recovery disturbed the reservation: %+v", b)
-	}
-	m2.run(m2.dequeue())
-	got, _ := m2.Get(st.ID)
-	if got.State != JobDone {
-		t.Fatalf("resumed job: %+v", got)
-	}
-	after := l2.Balance("t", st.Fingerprint)
-	if math.Float64bits(after.Committed) != math.Float64bits(baseline.Committed) {
-		t.Fatalf("crash-resumed committed %v != uninterrupted %v", after.Committed, baseline.Committed)
-	}
-	if after.Reserved != 0 {
-		t.Fatalf("reservation outlived the commit: %+v", after)
-	}
-	// Third incarnation: the committed balance replays bit for bit.
-	l3, err := ledger.Open(ledger.Options{Budget: 10, Path: filepath.Join(dir, "ledger.jsonl")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := l3.Balance("t", st.Fingerprint); math.Float64bits(b.Committed) != math.Float64bits(after.Committed) {
-		t.Fatalf("replayed committed %v != live %v", b.Committed, after.Committed)
+	const iterEnd = 8 + 4 + 8 + 4 // magic, version, fingerprint, iteration
+	for _, path := range paths {
+		payload, err := nn.ReadFileVerified(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := append([]byte(nil), payload[:iterEnd]...)
+		binary.LittleEndian.PutUint32(old[8:], 2)
+		old = binary.LittleEndian.AppendUint64(old, 12345)
+		old = append(old, payload[iterEnd:]...)
+		if _, err := nn.WriteFileAtomic(path, func(w io.Writer) error {
+			_, err := w.Write(old)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
